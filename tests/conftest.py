@@ -1,12 +1,28 @@
 """Make tests/ importable as a flat namespace (helpers module) and pin
-hypothesis to deterministic example generation so CI runs are stable."""
+hypothesis to deterministic example generation so CI runs are stable.
+
+``--regen-golden`` rewrites the golden files under ``tests/golden/``
+from the current code instead of asserting them (see
+``test_golden_cells.py``)."""
 
 import os
 import sys
 
+import pytest
 from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 settings.register_profile("repro", derandomize=True)
 settings.load_profile("repro")
+
+
+def pytest_addoption(parser):
+    parser.addoption("--regen-golden", action="store_true", default=False,
+                     help="rewrite tests/golden/*.json from the current "
+                          "code instead of asserting them")
+
+
+@pytest.fixture
+def regen_golden(request):
+    return request.config.getoption("--regen-golden")
