@@ -62,7 +62,9 @@ class Group:
         by its zero-free leaf count even when zeros are present, because
         the same collapse happens on a device without zero detection.
         """
-        size = self.size + producer.size
+        positions = self.positions
+        producer_positions = producer.positions
+        size = len(positions) + len(producer_positions)
         leaves, raw = self.merged_counts(producer, uses)
         if size > rules.max_group:
             # Section 3: "in some cases ... four dependent instructions can
@@ -82,15 +84,19 @@ class Group:
             if raw > rules.max_leaves:
                 return None
             needed_zero_detection = False
-        # Perform the merge, keeping program order of members.
-        merged = {}
-        for position, sig in zip(self.positions, self.sigs):
-            merged[position] = sig
-        for position, sig in zip(producer.positions, producer.sigs):
-            merged[position] = sig
-        order = sorted(merged)
-        self.positions = order
-        self.sigs = [merged[position] for position in order]
+        # Perform the merge, keeping program order of members.  Nearly
+        # always the producer lies wholly before this group and simply
+        # goes in front; otherwise (interleaved members, or a member
+        # shared through an earlier merge) merge by position.
+        if producer_positions[-1] < positions[0]:
+            self.positions = producer_positions + positions
+            self.sigs = producer.sigs + self.sigs
+        else:
+            merged = dict(zip(positions, self.sigs))
+            merged.update(zip(producer_positions, producer.sigs))
+            order = sorted(merged)
+            self.positions = order
+            self.sigs = [merged[position] for position in order]
         self.leaves = leaves
         self.raw_leaves = raw
         if needed_zero_detection:

@@ -80,17 +80,19 @@ class CollapseStats:
         ----------
         category: one of CAT_3_1 / CAT_4_1 / CAT_0OP
         distance: dynamic distance between the merged producer and consumer
-        chain_sigs: tuple of signature strings for the *resulting* group,
-            in program order
-        positions: trace positions of all group members
+        chain_sigs: signature strings for the *resulting* group, in
+            program order (any sequence; copied into a tuple when counted)
+        positions: trace positions of all group members (any iterable;
+            not retained)
         """
         self.events += 1
         self.category_counts[category] += 1
         self.distance_counts[distance] += 1
         self.collapsed_positions.update(positions)
-        if len(chain_sigs) == 2:
+        size = len(chain_sigs)
+        if size == 2:
             self.pair_signatures[tuple(chain_sigs)] += 1
-        elif len(chain_sigs) >= 3:
+        elif size >= 3:
             self.triple_signatures[tuple(chain_sigs)] += 1
 
     # ------------------------------------------------------------------

@@ -171,7 +171,13 @@ class MachineConfig:
         self.name = name or self._default_name()
 
     def _default_name(self):
-        parts = ["w%d" % self.issue_width]
+        return "+".join(["w%d" % self.issue_width] + self.features())
+
+    def features(self):
+        """Short names of the mechanisms this machine adds to the base
+        machine, in a fixed order (``["collapse", "lspec-real"]`` for
+        configuration D); the default name is the width plus these."""
+        parts = []
         if self.collapse_rules is not None:
             parts.append("collapse")
         if self.load_spec != LOAD_SPEC_NONE:
@@ -190,7 +196,7 @@ class MachineConfig:
                          else "vspec-%s" % (self.value_spec,))
         if self.branch_spec:
             parts.append("bspec")
-        return "+".join(parts)
+        return parts
 
     @property
     def collapsing(self):

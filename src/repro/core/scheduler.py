@@ -185,6 +185,11 @@ class WindowScheduler:
 
         rules = config.collapse_rules
         collapsing = rules is not None
+        # Rule checks run only when the rules impose them: the paper's
+        # rules merge at any distance and across basic blocks.
+        check_distance = collapsing and (not rules.allow_nonconsecutive
+                                         or rules.max_distance is not None)
+        track_blocks = collapsing and not rules.allow_cross_block
         collapse_stats = CollapseStats()
         load_stats = LoadStats()
 
@@ -276,11 +281,13 @@ class WindowScheduler:
         completion = [0] * n
         pend_addr = {}          # pos -> set of unissued producer positions
         pend_other = {}
-        bound_addr = {}         # pos -> max completion over resolved deps
-        bound_other = {}
+        bound_addr = [0] * n    # max completion over resolved deps (0 once
+        bound_other = [0] * n   # issued or eliminated)
         consumers = {}          # producer pos -> list of (consumer, kind)
-        groups = {}             # pos -> collapse Group (while in window)
-        block_of = {}           # pos -> dynamic basic-block id
+        # pos -> collapse Group (while in window), collapsing only
+        groups = {} if collapsing else None
+        # pos -> dynamic basic-block id, within-block collapsing only
+        block_of = {} if track_blocks else None
 
         reg_writer = [-1] * 33  # 32 registers + condition codes (index 32)
         mem_writer = {}         # word address -> last store position
@@ -457,8 +464,9 @@ class WindowScheduler:
             b_other = 0
             pending = []        # (producer, kind) arcs kept as dependences
             resolved_rec = [] if mem_realistic else None
-            elim_candidates = []
-            group = Group(i, sig_col[s], leaves_col[s], zeros_col[s])
+            elim_candidates = [] if node_elim else None
+            group = Group(i, sig_col[s], leaves_col[s], zeros_col[s]) \
+                if collapsing else None
 
             for p, kind, arc_collapsible, uses in arcs:
                 if value_spec and cls_col[sidx[p]] == LD \
@@ -514,12 +522,13 @@ class WindowScheduler:
                 if collapsing and arc_collapsible and producer_ok_col[sidx[p]]:
                     distance = i - p
                     legal = True
-                    if not rules.allow_nonconsecutive and distance != 1:
-                        legal = False
-                    if legal and rules.max_distance is not None \
-                            and distance > rules.max_distance:
-                        legal = False
-                    if legal and not rules.allow_cross_block \
+                    if check_distance:
+                        if not rules.allow_nonconsecutive and distance != 1:
+                            legal = False
+                        if legal and rules.max_distance is not None \
+                                and distance > rules.max_distance:
+                            legal = False
+                    if legal and track_blocks \
                             and block_of.get(p) != block_counter:
                         legal = False
                     if legal and value_replay and vspec_wrong.get(p):
@@ -538,10 +547,10 @@ class WindowScheduler:
                             if san is not None:
                                 san.on_collapse(i, p, kind, group)
                             collapse_stats.record_event(
-                                category, distance, tuple(group.sigs),
-                                tuple(group.positions))
+                                category, distance, group.sigs,
+                                group.positions)
                             # Inherit the producer's unresolved state.
-                            pb = bound_other.get(p, 0)
+                            pb = bound_other[p]
                             if kind == _KIND_ADDR:
                                 if pb > b_addr:
                                     b_addr = pb
@@ -564,8 +573,11 @@ class WindowScheduler:
             # ---- load classification / speculation
             addr_dropped = False
             if cls == LD:
-                has_pending_addr = any(kind == _KIND_ADDR
-                                       for _, kind in pending)
+                has_pending_addr = False
+                for arc in pending:
+                    if arc[1] == _KIND_ADDR:
+                        has_pending_addr = True
+                        break
                 if not has_pending_addr and b_addr <= now:
                     load_stats.record(LOAD_READY)
                 elif load_spec == LOAD_SPEC_IDEAL:
@@ -612,10 +624,11 @@ class WindowScheduler:
                     completion[p] = now
                     pend_addr.pop(p, None)
                     pend_other.pop(p, None)
-                    bound_addr.pop(p, None)
-                    bound_other.pop(p, None)
+                    bound_addr[p] = 0
+                    bound_other[p] = 0
                     groups.pop(p, None)
-                    block_of.pop(p, None)
+                    if track_blocks:
+                        block_of.pop(p, None)
                     issued += 1
                     if dae_mode and p in bypassed:
                         bypassed.discard(p)
@@ -647,17 +660,25 @@ class WindowScheduler:
             bound_addr[i] = b_addr
             bound_other[i] = b_other
             if pending:
-                p_addr = set()
-                p_other = set()
+                p_addr = p_other = None
                 for p, kind in pending:
-                    target = p_addr if kind == _KIND_ADDR else p_other
-                    if p in target:
+                    if kind == _KIND_ADDR:
+                        if p_addr is None:
+                            p_addr = {p}
+                        elif p in p_addr:
+                            continue
+                        else:
+                            p_addr.add(p)
+                    elif p_other is None:
+                        p_other = {p}
+                    elif p in p_other:
                         continue
-                    target.add(p)
+                    else:
+                        p_other.add(p)
                     consumers.setdefault(p, []).append((i, kind))
-                if p_addr:
+                if p_addr is not None:
                     pend_addr[i] = p_addr
-                if p_other:
+                if p_other is not None:
                     pend_other[i] = p_other
             else:
                 ready_at = b_addr if b_addr > b_other else b_other
@@ -668,7 +689,8 @@ class WindowScheduler:
 
             if collapsing:
                 groups[i] = group
-                block_of[i] = block_counter
+                if track_blocks:
+                    block_of[i] = block_counter
 
             # ---- architectural update (program order)
             dest = dest_col[s]
@@ -926,15 +948,15 @@ class WindowScheduler:
                         # fold the load's completion into the bound and
                         # let the consumer wait like any resolved arc.
                         if kind == _KIND_ADDR:
-                            if when > bound_addr.get(w, 0):
+                            if when > bound_addr[w]:
                                 bound_addr[w] = when
-                        elif when > bound_other.get(w, 0):
+                        elif when > bound_other[w]:
                             bound_other[w] = when
                         if not wrong:
                             del vspec_wrong[w]
                             if w not in pend_addr and w not in pend_other:
-                                ba = bound_addr.get(w, 0)
-                                bo = bound_other.get(w, 0)
+                                ba = bound_addr[w]
+                                bo = bound_other[w]
                                 ready_at = ba if ba > bo else bo
                                 heappush(future_heap, (ready_at, w))
 
@@ -1016,7 +1038,7 @@ class WindowScheduler:
             issued_now = 0
             while issued_now < width and ready_heap:
                 pos = heappop(ready_heap)
-                if pos in eliminated:
+                if node_elim and pos in eliminated:
                     # Eliminated after being scheduled: consumes nothing.
                     continue
                 if mem_realistic or value_replay:
@@ -1026,8 +1048,8 @@ class WindowScheduler:
                         continue
                     if pos in pend_addr or pos in pend_other:
                         continue
-                    ba = bound_addr.get(pos, 0)
-                    bo = bound_other.get(pos, 0)
+                    ba = bound_addr[pos]
+                    bo = bound_other[pos]
                     ready_at = ba if ba > bo else bo
                     if ready_at > cycle:
                         heappush(future_heap, (ready_at, pos))
@@ -1054,17 +1076,17 @@ class WindowScheduler:
                 if dae_mode:
                     for p in pop_on_issue.pop(pos, ()):
                         _dae_deliver(p, pos, cycle)
-                last_issue = cycle
                 if block_fetch and pos == fence_pos \
                         and not (value_replay and vspec_wrong.get(pos)):
                     # The blocking branch issued (non-speculatively);
                     # resume fetch next cycle.
                     block_fetch = False
-                bound_addr.pop(pos, None)
-                bound_other.pop(pos, None)
+                bound_addr[pos] = 0
+                bound_other[pos] = 0
                 if collapsing:
                     groups.pop(pos, None)
-                    block_of.pop(pos, None)
+                    if track_blocks:
+                        block_of.pop(pos, None)
                 if mem_realistic:
                     verify_memory_order(pos, cycle)
                 if value_replay:
@@ -1081,6 +1103,7 @@ class WindowScheduler:
                 notify(pos, cycle)
 
             if issued_now:
+                last_issue = cycle
                 cycle += 1
             else:
                 next_cycle = future_heap[0][0] if future_heap else None

@@ -21,10 +21,15 @@ import sys
 import time
 
 from ..cache import DiskCache
-from ..core.config import paper_config
+from ..core.config import LOAD_SPEC_REAL, config_specs, paper_config
 from ..core.results import SimResult
 from ..core.scheduler import WindowScheduler
-from ..core.simulator import branch_outcomes, load_outcomes
+from ..core.simulator import (
+    _value_predictor_kind,
+    branch_outcomes,
+    load_outcomes,
+    value_outcomes,
+)
 from ..metrics.tables import render_table
 from ..workloads.registry import (
     cached_branch_plan,
@@ -32,24 +37,41 @@ from ..workloads.registry import (
     cached_trace,
 )
 
-#: Per-worker-process memo: (name, scale, cache_dir) -> (trace, branch,
-#: loads).  Six workloads at bench scales fit comfortably in memory.
+#: Per-worker-process memo: (name, scale, cache_dir) -> (trace, branch
+#: pass), and (name, scale, cache_dir, kind) -> the address ("address")
+#: or value (predictor kind) prediction pass, computed on first use.
+#: Six workloads at bench scales fit comfortably in memory.
 _WORKER_STATE = {}
 
 
+def _memo(key, compute):
+    value = _WORKER_STATE.get(key)
+    if value is None:
+        value = _WORKER_STATE[key] = compute()
+    return value
+
+
 def _cell_inputs(name, scale, cache_dir):
-    key = (name, scale, cache_dir)
-    state = _WORKER_STATE.get(key)
-    if state is None:
+    """The trace and its branch pass."""
+    def build():
         if cache_dir is not None:
-            cache = DiskCache(cache_dir)
-            trace = cache.get_trace(name, scale,
-                                    lambda: cached_trace(name, scale))
+            trace = DiskCache(cache_dir).get_trace(
+                name, scale, lambda: cached_trace(name, scale))
         else:
             trace = cached_trace(name, scale)
-        state = (trace, branch_outcomes(trace), load_outcomes(trace))
-        _WORKER_STATE[key] = state
-    return state
+        return trace, branch_outcomes(trace)
+    return _memo((name, scale, cache_dir), build)
+
+
+def _prediction(name, scale, cache_dir, kind):
+    """The address ("address") or value (predictor ``kind``) prediction
+    pass of one trace."""
+    trace, _ = _cell_inputs(name, scale, cache_dir)
+    if kind == "address":
+        return _memo((name, scale, cache_dir, kind),
+                     lambda: load_outcomes(trace))
+    return _memo((name, scale, cache_dir, kind),
+                 lambda: value_outcomes(trace, predictor=kind))
 
 
 def _run_cell(task):
@@ -67,13 +89,12 @@ def _run_cell(task):
         if result is not None:
             return (index, result.to_payload(),
                     time.perf_counter() - started, True, cache.stats())
-    trace, branch, loads = _cell_inputs(name, scale, cache_dir)
-    prediction = loads if config.load_spec == "real" else None
-    values = None
-    if config.value_spec:
-        from ..core.simulator import _value_predictor_kind, value_outcomes
-        values = value_outcomes(trace,
-                                predictor=_value_predictor_kind(config))
+    trace, branch = _cell_inputs(name, scale, cache_dir)
+    prediction = (_prediction(name, scale, cache_dir, "address")
+                  if config.load_spec == LOAD_SPEC_REAL else None)
+    values = (_prediction(name, scale, cache_dir,
+                          _value_predictor_kind(config))
+              if config.value_spec else None)
     dae_plan = cached_dae_plan(name, scale) if config.dae else None
     branch_plan = (cached_branch_plan(name, scale)
                    if config.branch_spec else None)
@@ -95,17 +116,39 @@ def _run_cell(task):
             False, cache.stats() if cache is not None else {})
 
 
+def cell_label(config, extra_key=None):
+    """Profile label of a cell: the most specific registered letter the
+    configuration extends, then ``+feature`` for each mechanism beyond
+    it and ``+key=value`` for each ``extra_key`` entry, e.g. ``J``,
+    ``F+mdpt64-2``, ``D+elim+vspec`` or ``D+addrpred=markov``.  A
+    registered letter's own configuration is labelled by the letter."""
+    features = config.features()
+    letter, base = None, []
+    for spec in config_specs():
+        candidate = spec.build(config.issue_width).features()
+        if set(candidate) <= set(features) \
+                and (letter is None or len(candidate) > len(base)):
+            letter, base = spec.letter, candidate
+    parts = [letter or "base"]
+    parts += [feature for feature in features if feature not in base]
+    parts += ["%s=%s" % (key, extra_key[key])
+              for key in sorted(extra_key or ())]
+    return "+".join(parts)
+
+
 class SweepProfile:
     """Observability for one sweep: per-cell wall time + cache counters."""
 
     def __init__(self):
-        self.cells = []          # (name, letter, width, seconds, source)
+        self.cells = []          # (name, label, width, seconds, source)
         self.cache_counters = {}
         self.wall_seconds = 0.0
 
     def record(self, cell, seconds, cache_hit):
-        name, letter, width = cell
-        self.cells.append((name, letter, width, seconds,
+        """Record one ``(name, label, width)`` cell; the label is a
+        registered letter or a :func:`cell_label`."""
+        name, label, width = cell
+        self.cells.append((name, label, width, seconds,
                            "cache" if cache_hit else "sim"))
 
     def merge_cache_counters(self, counters):

@@ -33,7 +33,7 @@ from ..workloads.registry import (
     cached_dae_plan,
     cached_trace,
 )
-from .parallel import SweepProfile, run_cells
+from .parallel import SweepProfile, cell_label, run_cells
 
 
 def _branch_from_payload(payload):
@@ -191,9 +191,15 @@ class ExperimentRunner:
                     self.cache.store_result(result, name, self.scale,
                                             config)
             self._results[key] = result
-            self.profile.record(key, time.perf_counter() - started,
-                                cache_hit)
+            self._record(key, started, cache_hit)
         return self._results[key]
+
+    def _record(self, cell, started, cache_hit):
+        """Profile one cell resolved inline: being serial, its time is
+        wall time as well as cell work."""
+        seconds = time.perf_counter() - started
+        self.profile.record(cell, seconds, cache_hit)
+        self.profile.wall_seconds += seconds
 
     def simulate(self, name, config, extra_key=None, load_prediction=None,
                  value_prediction=None):
@@ -241,8 +247,8 @@ class ExperimentRunner:
             if self.cache is not None:
                 self.cache.store_result(result, name, self.scale, config,
                                         extra=extra_key)
-        self.profile.record((name, config.name, config.issue_width),
-                            time.perf_counter() - started, cache_hit)
+        self._record((name, cell_label(config, extra_key),
+                      config.issue_width), started, cache_hit)
         return result
 
     def results(self, letter, width, names=None):

@@ -1,6 +1,10 @@
 """Unit tests for expression groups and collapse legality/categories."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from repro.collapse import (
     CAT_0OP,
@@ -10,6 +14,7 @@ from repro.collapse import (
     Group,
     merge_category,
 )
+from repro.collapse import classify
 from repro.errors import ConfigError
 
 RULES = CollapseRules.paper()
@@ -191,3 +196,119 @@ def test_rules_describe_mentions_restrictions():
     assert "consecutive-only" in text
     text = CollapseRules.within_block_only().describe()
     assert "within-block" in text
+
+
+# ----------------------------------------------------------------------
+# try_merge against a reference merge.  try_merge concatenates when the
+# producer lies wholly before the consumer and merges by sorted position
+# otherwise; both must equal merging every member through a dict keyed
+# by position and sorting it.
+
+SIGS = ("arrr", "arri", "ldr0", "shri", "lgrr", "brc")
+
+
+def sig_of(position):
+    """A position's signature is fixed, as in a trace, so a member
+    shared by both groups carries the same signature in each."""
+    return SIGS[position % len(SIGS)]
+
+
+def make_group(positions, leaves, zeros):
+    group = Group(positions[-1], sig_of(positions[-1]), leaves, zeros)
+    group.positions = list(positions)
+    group.sigs = [sig_of(position) for position in positions]
+    return group
+
+
+def snapshot(group):
+    return (list(group.positions), list(group.sigs), group.leaves,
+            group.raw_leaves)
+
+
+def reference_merge(consumer, producer, uses, rules):
+    """(category, consumer state afterwards) by the pure legality check
+    and a sorted-dict merge of the members."""
+    category = merge_category(consumer, producer, uses, rules)
+    if category is None:
+        return None, snapshot(consumer)
+    merged = {}
+    for position, sig in zip(consumer.positions, consumer.sigs):
+        merged[position] = sig
+    for position, sig in zip(producer.positions, producer.sigs):
+        merged[position] = sig
+    order = sorted(merged)
+    leaves, raw = consumer.merged_counts(producer, uses)
+    return category, (order, [merged[position] for position in order],
+                      leaves, raw)
+
+
+def check_against_reference(consumer, producer, uses, rules):
+    """Merge and compare with the reference; returns the branch that
+    performed the merge ("concatenate" or "sorted"), or None when the
+    merge was illegal."""
+    before = producer.positions[-1] < consumer.positions[0]
+    producer_state = snapshot(producer)
+    expected_category, expected_state = reference_merge(consumer, producer,
+                                                        uses, rules)
+    with mock.patch.object(classify, "sorted", create=True,
+                           wraps=sorted) as spy:
+        category = consumer.try_merge(producer, uses, rules)
+    assert category == expected_category
+    assert snapshot(consumer) == expected_state
+    assert snapshot(producer) == producer_state
+    if category is None:
+        return None
+    assert spy.call_count == (0 if before else 1)
+    return "concatenate" if before else "sorted"
+
+
+positions_strategy = st.lists(st.integers(4, 28), min_size=1, max_size=3,
+                              unique=True).map(sorted)
+
+
+@st.composite
+def merge_cases(draw):
+    consumer_positions = draw(positions_strategy)
+    if draw(st.booleans()):
+        # Wholly before the consumer, as nearly every scheduler merge is.
+        producer_positions = sorted(draw(st.lists(
+            st.integers(0, consumer_positions[0] - 1), min_size=1,
+            max_size=3, unique=True)))
+    else:
+        # Anywhere: interleaved with, overlapping or after the consumer.
+        producer_positions = draw(positions_strategy)
+    consumer = make_group(consumer_positions, draw(st.integers(1, 4)),
+                          draw(st.integers(0, 2)))
+    producer = make_group(producer_positions, draw(st.integers(1, 4)),
+                          draw(st.integers(0, 2)))
+    rules = CollapseRules(max_group=draw(st.integers(2, 9)),
+                          max_leaves=draw(st.integers(2, 12)),
+                          zero_detection=draw(st.booleans()))
+    return consumer, producer, draw(st.integers(1, 2)), rules
+
+
+@given(merge_cases())
+def test_try_merge_equals_sorted_dict_reference(case):
+    branch = check_against_reference(*case)
+    event("merge: %s" % (branch or "illegal",))
+
+
+@pytest.mark.parametrize("consumer, producer, branch", [
+    (([6, 9], 2, 0), ([2, 4], 2, 0), "concatenate"),
+    (([4, 9], 2, 0), ([6], 2, 0), "sorted"),          # interleaved
+    (([4, 9], 2, 0), ([4, 7], 2, 0), "sorted"),       # shares member 4
+    (([5], 2, 0), ([8], 2, 0), "sorted"),             # wholly after
+])
+def test_try_merge_reaches_both_branches(consumer, producer, branch):
+    rules = CollapseRules(max_group=8, max_leaves=8)
+    assert check_against_reference(make_group(*consumer),
+                                   make_group(*producer), 1,
+                                   rules) == branch
+
+
+def test_overlapping_merge_keeps_each_member_once():
+    consumer = make_group([4, 9], 2, 0)
+    consumer.try_merge(make_group([4, 7], 2, 0), 1,
+                       CollapseRules(max_group=8, max_leaves=8))
+    assert consumer.positions == [4, 7, 9]
+    assert consumer.sigs == [sig_of(4), sig_of(7), sig_of(9)]

@@ -1,6 +1,11 @@
 """ExperimentRunner behaviour tests."""
 
+import pytest
+
+from repro.collapse.rules import CollapseRules
+from repro.core.config import MachineConfig, config_letters, paper_config
 from repro.experiments import ExperimentRunner
+from repro.experiments.parallel import cell_label
 
 
 def test_names_subset_restricts_suite():
@@ -33,3 +38,41 @@ def test_sweep_covers_all_cells():
                               names=("eqntott",))
     sweep = runner.sweep(["A", "C"])
     assert set(sweep) == {("A", 4), ("A", 8), ("C", 4), ("C", 8)}
+
+
+def test_serial_profile_records_wall_time():
+    runner = ExperimentRunner(scale=0.03, widths=(8,), names=("eqntott",))
+    runner.sweep(["A", "C"])
+    profile = runner.profile
+    assert len(profile.cells) == 2
+    assert profile.wall_seconds > 0.0
+    assert profile.wall_seconds == pytest.approx(profile.cell_seconds)
+
+
+def test_every_registered_letter_labels_itself():
+    for letter in config_letters():
+        assert cell_label(paper_config(letter, 8)) == letter
+
+
+def test_variant_labels_name_the_base_letter_and_the_extras():
+    d_both = MachineConfig(8, collapse_rules=CollapseRules.paper(),
+                           load_spec="real", node_elimination=True,
+                           value_spec=True)
+    assert cell_label(d_both) == "D+elim+vspec"
+    assert cell_label(paper_config("D", 8),
+                      extra_key={"addrpred": "markov"}) == \
+        "D+addrpred=markov"
+    assert cell_label(paper_config("F", 8, mdpt_entries=64,
+                                   mdpt_store_set=2)) == "F+mdpt64-2"
+
+
+def test_profile_tells_mdpt_geometries_apart():
+    from repro.experiments.extensions import mdpt_sensitivity
+    runner = ExperimentRunner(scale=0.03, widths=(8,), names=("eqntott",))
+    exhibit = mdpt_sensitivity(runner)
+    labels = [label for _, label, _, _, _ in runner.profile.cells]
+    geometries = [label for label in labels if label.startswith("F")]
+    assert len(geometries) == len(exhibit.rows)
+    assert len(set(geometries)) == len(geometries)
+    assert "F" in geometries            # the default geometry
+    assert all(label == "A" or label.startswith("F") for label in labels)

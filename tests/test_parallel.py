@@ -133,3 +133,29 @@ def test_report_profile_section(tmp_path):
                     jobs=2, cache_dir=tmp_path / "cache", profile=True)
     assert "## Sweep profile" in text
     assert "cache counters" in text
+
+
+def test_workers_memoise_predictor_passes(monkeypatch):
+    """A worker runs each prediction pass once per (workload, scale,
+    cache directory, predictor kind), and only for cells that use it."""
+    from repro.experiments import parallel
+    calls = {"address": 0, "value": 0}
+
+    def counting(kind, real):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(parallel, "_WORKER_STATE", {})
+    monkeypatch.setattr(parallel, "load_outcomes",
+                        counting("address", parallel.load_outcomes))
+    monkeypatch.setattr(parallel, "value_outcomes",
+                        counting("value", parallel.value_outcomes))
+    run_cells([("eqntott", letter, width)
+               for letter in ("A", "I", "J") for width in (4, 8)],
+              SCALE, jobs=1)
+    assert calls == {"address": 0, "value": 1}
+    run_cells([("eqntott", letter, 4) for letter in ("B", "D", "I")],
+              SCALE, jobs=1)
+    assert calls == {"address": 1, "value": 1}
