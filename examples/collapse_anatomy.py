@@ -9,7 +9,7 @@ Run:  python examples/collapse_anatomy.py [workload] [width] [scale]
 
 import sys
 
-from repro.core import config_d, simulate_trace
+from repro.core import paper_config, simulate_trace
 from repro.metrics import render_bar_chart, render_table
 from repro.workloads import cached_trace
 
@@ -20,7 +20,7 @@ def main():
     scale = float(sys.argv[3]) if len(sys.argv) > 3 else 0.15
 
     trace = cached_trace(name, scale)
-    result = simulate_trace(trace, config_d(width))
+    result = simulate_trace(trace, paper_config("D", width))
     stats = result.collapse
 
     print("%s @ width %d: IPC %.2f, %d collapse events, "

@@ -10,8 +10,7 @@ Run:  python examples/pointer_chasing_study.py [scale]
 
 import sys
 
-from repro.core import LOAD_CATEGORIES, config_a, config_b, config_d, \
-    config_e, simulate_many
+from repro.core import LOAD_CATEGORIES, paper_config, simulate_many
 from repro.metrics import render_table
 from repro.workloads import POINTER_CHASING, NON_POINTER_CHASING, \
     cached_trace
@@ -24,8 +23,7 @@ def study(names, scale):
     for name in names:
         trace = cached_trace(name, scale)
         a, b, d, e = simulate_many(
-            trace, [config_a(WIDTH), config_b(WIDTH), config_d(WIDTH),
-                    config_e(WIDTH)])
+            trace, [paper_config(letter, WIDTH) for letter in "ABDE"])
         fractions = d.loads.fractions()
         rows.append([
             name,

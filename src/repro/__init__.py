@@ -6,8 +6,8 @@ The package is layered bottom-up:
 - :mod:`repro.isa`, :mod:`repro.asm`, :mod:`repro.emu` — a SPARC-v8-like
   ISA, assembler and functional emulator (the trace substrate);
 - :mod:`repro.trace` — dynamic traces (columnar), I/O, synthesis;
-- :mod:`repro.bpred`, :mod:`repro.addrpred` — branch and load-address
-  prediction;
+- :mod:`repro.bpred`, :mod:`repro.addrpred`, :mod:`repro.vpred` — branch
+  prediction, and load prediction over addresses and loaded values;
 - :mod:`repro.collapse` — dependence-collapsing rules and statistics;
 - :mod:`repro.core` — the windowed timing model (the paper's study);
 - :mod:`repro.workloads` — self-validating SPECINT-analog kernels (the
@@ -27,11 +27,6 @@ from .cache import DiskCache
 from .collapse import CollapseRules
 from .core import (
     MachineConfig,
-    config_a,
-    config_b,
-    config_c,
-    config_d,
-    config_e,
     paper_config,
     simulate_many,
     simulate_trace,
@@ -51,7 +46,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CollapseRules",
     "MachineConfig",
-    "config_a", "config_b", "config_c", "config_d", "config_e",
     "paper_config", "simulate_many", "simulate_trace",
     "AssemblyError", "ConfigError", "EmulationError", "ReproError",
     "TraceFormatError",

@@ -1,4 +1,6 @@
-"""Stride-based load-address prediction (two-delta with confidence)."""
+"""Load-stream prediction: the paper's two-delta stride table (with
+confidence) plus Markov and hybrid tables, and one program-order runner
+over effective addresses or loaded values."""
 
 from .markov import HybridTable, MarkovTable
 from .runner import LoadPredictionResult, PerPCStat, \

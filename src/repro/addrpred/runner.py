@@ -1,10 +1,17 @@
-"""Precompute address-prediction outcomes for every load in a trace.
+"""Precompute load-prediction outcomes for every load in a trace.
 
 All loads update the table in program order (Section 3: "All loads update
 the table state but only not ready loads use the table"), so the
 prediction outcome of every dynamic load is timing-independent and can be
 computed in one pass.  The timing simulator later decides *readiness*
 (which is timing-dependent) and combines it with these outcomes.
+
+One pass serves both load streams: :func:`run_address_predictor` runs
+it over effective addresses (the paper's load speculation) and
+:func:`repro.vpred.run_value_predictor` over the values loads return
+(the value-speculation extension).  Both reach :func:`run_load_table`
+(the sequential reference loop) or :func:`run_load_sweep` (its
+vectorized twin) with the trace column to read.
 
 Two accuracy views are reported:
 
@@ -18,24 +25,28 @@ Two accuracy views are reported:
 With ``per_pc=True`` the pass additionally keeps one
 :class:`PerPCStat` histogram per static load address — accuracy,
 confidence-gate coverage, and the number of *delta changes* in the
-address stream.  The static address classification
-(``repro.lint.addrclass``) cross-checks its per-site claims against
-exactly these histograms.
+stream.  The static classifications (``repro.lint.addrclass`` over
+addresses, ``repro.lint.valueflow`` over values) cross-check their
+per-site claims against exactly these histograms.
 """
 
 from .. import kernel
 from ..trace.records import LD
 from .two_delta import TwoDeltaTable
 
-#: observations before a cold two-delta entry can predict (first access
-#: seeds the address, the stride must then be seen twice)
+#: observations before a cold entry can predict: for a two-delta table
+#: the first access seeds the stream and the stride must then be seen
+#: twice; for a 2-bit branch counter, up to two trainings to cross the
+#: threshold plus the cold first prediction itself
 PC_WARMUP = 3
+
+_MASK32 = 0xFFFFFFFF
 
 
 class PerPCStat:
     """Dynamic predictor behaviour of one static load (one PC).
 
-    ``delta_changes`` counts observations whose address delta differs
+    ``delta_changes`` counts observations whose stream delta differs
     from the previous delta at the same PC — the quantity that bounds
     two-delta misses from above (each change costs at most two misses
     before the table re-locks; see ``repro.lint.addrclass``).
@@ -43,7 +54,7 @@ class PerPCStat:
 
     __slots__ = ("pc", "count", "correct", "attempted",
                  "attempted_correct", "warm_correct", "delta_changes",
-                 "_last_address", "_last_delta")
+                 "_last", "_last_delta")
 
     def __init__(self, pc):
         self.pc = pc
@@ -54,10 +65,10 @@ class PerPCStat:
         #: correct predictions beyond the first PC_WARMUP observations
         self.warm_correct = 0
         self.delta_changes = 0
-        self._last_address = None
+        self._last = None
         self._last_delta = None
 
-    def observe(self, address, would_use, correct):
+    def observe(self, value, would_use, correct):
         self.count += 1
         if correct:
             self.correct += 1
@@ -67,13 +78,13 @@ class PerPCStat:
             self.attempted += 1
             if correct:
                 self.attempted_correct += 1
-        if self._last_address is not None:
-            delta = (address - self._last_address) & 0xFFFFFFFF
+        if self._last is not None:
+            delta = (value - self._last) & _MASK32
             if self._last_delta is not None \
                     and delta != self._last_delta:
                 self.delta_changes += 1
             self._last_delta = delta
-        self._last_address = address
+        self._last = value
 
     @property
     def accuracy(self):
@@ -104,14 +115,16 @@ class LoadPredictionResult:
     ``attempted`` and ``correct`` are dicts keyed by trace position,
     populated only for loads: ``attempted[pos]`` is True when confidence
     allowed using the prediction; ``correct[pos]`` is True when the
-    predicted address matched.  ``per_pc`` maps PC -> :class:`PerPCStat`
-    when the run collected histograms, else None.
+    prediction matched.  ``per_pc`` maps PC -> :class:`PerPCStat` when
+    the run collected histograms, else None.  ``predictor`` names the
+    value-predictor kind of a value pass (None for address passes).
     """
 
     __slots__ = ("attempted", "correct", "loads", "would_correct",
-                 "first_misses", "warm_would_correct", "per_pc")
+                 "first_misses", "warm_would_correct", "per_pc",
+                 "predictor")
 
-    def __init__(self):
+    def __init__(self, predictor=None):
         self.attempted = {}
         self.correct = {}
         self.loads = 0
@@ -122,12 +135,15 @@ class LoadPredictionResult:
         #: correct predictions among non-first accesses
         self.warm_would_correct = 0
         self.per_pc = None
+        self.predictor = predictor
 
     @property
     def raw_accuracy(self):
         """Fraction of loads whose table prediction was correct,
         independent of confidence (diagnostic; includes the always-miss
-        first access of every PC)."""
+        first access of every PC).  For a last-value pass this is value
+        locality: loads returning the same value as the previous
+        execution of the same static load."""
         if not self.loads:
             return 0.0
         return self.would_correct / self.loads
@@ -140,6 +156,17 @@ class LoadPredictionResult:
         if warm <= 0:
             return 0.0
         return self.warm_would_correct / warm
+
+    @property
+    def confident_coverage(self):
+        """Fraction of loads speculated on: confidence gate open *and*
+        the prediction correct — the coverage the static valueflow
+        bound must dominate."""
+        if not self.loads:
+            return 0.0
+        used = sum(1 for position, used in self.attempted.items()
+                   if used and self.correct[position])
+        return used / self.loads
 
 
 def run_address_predictor(trace, table=None, per_pc=False):
@@ -156,13 +183,21 @@ def run_address_predictor(trace, table=None, per_pc=False):
     """
     if table is None:
         if kernel.use_numpy():
-            return _run_numpy(trace, per_pc)
+            from .nsweep import two_delta_sweep
+            return run_load_sweep(trace, "eff_addr", two_delta_sweep,
+                                  per_pc)
         table = TwoDeltaTable()
+    return run_load_table(trace, "eff_addr", table, per_pc)
+
+
+def run_load_table(trace, column, table, per_pc, predictor=None):
+    """Sequential pass of ``table`` over the loads' ``column`` stream
+    (``"eff_addr"`` or ``"mem_value"``), in program order."""
     static = trace.static
     cls = static.cls
     pcs = static.pc
-    addresses = trace.eff_addr
-    result = LoadPredictionResult()
+    stream = getattr(trace, column)
+    result = LoadPredictionResult(predictor)
     observe = table.observe
     attempted = result.attempted
     correct_map = result.correct
@@ -172,8 +207,8 @@ def run_address_predictor(trace, table=None, per_pc=False):
         if cls[sidx] != LD:
             continue
         pc = pcs[sidx]
-        address = addresses[position]
-        would_use, correct, _ = observe(pc, address)
+        value = stream[position]
+        would_use, correct, _ = observe(pc, value)
         result.loads += 1
         if pc in seen_pcs:
             if correct:
@@ -183,8 +218,8 @@ def run_address_predictor(trace, table=None, per_pc=False):
             seen_pcs.add(pc)
             result.first_misses += 1
             if correct:
-                # Possible only for address 0 (the cold entry predicts
-                # last_address 0 + stride 0); count it in the raw view.
+                # Possible only for a 0 (cold entries predict 0); count
+                # it in the raw view.
                 result.would_correct += 1
         attempted[position] = would_use
         correct_map[position] = correct
@@ -192,50 +227,30 @@ def run_address_predictor(trace, table=None, per_pc=False):
             stat = histograms.get(pc)
             if stat is None:
                 stat = histograms[pc] = PerPCStat(pc)
-            stat.observe(address, would_use, correct)
+            stat.observe(value & _MASK32, would_use, correct)
     if histograms is not None:
         result.per_pc = histograms
     return result
 
 
-def _run_numpy(trace, per_pc):
-    """Vectorized pass, byte-identical to the sequential default run."""
-    from .nsweep import _load_stream, per_pc_sweep, two_delta_sweep
+def run_load_sweep(trace, column, sweep, per_pc, predictor=None):
+    """Vectorized pass, byte-identical to :func:`run_load_table` with the
+    default table ``sweep`` reproduces (see :mod:`repro.addrpred.nsweep`)."""
+    from ..nscan import first_occurrence
+    from .nsweep import _load_stream, per_pc_sweep
 
-    result = LoadPredictionResult()
-    positions, would_use, correct = two_delta_sweep(trace)
+    result = LoadPredictionResult(predictor)
+    positions, pc, stream = _load_stream(trace, column)
+    would_use, correct = sweep(pc, stream)
     result.loads = int(positions.shape[0])
-    result.attempted = dict(zip(positions.tolist(), would_use.tolist()))
-    result.correct = dict(zip(positions.tolist(), correct.tolist()))
-    if not result.loads:
-        if per_pc:
-            result.per_pc = {}
-        return result
-
-    import numpy as np
-
-    _, pc, address = _load_stream(trace)
+    keys = positions.tolist()
+    result.attempted = dict(zip(keys, would_use.tolist()))
+    result.correct = dict(zip(keys, correct.tolist()))
     # First occurrence of each PC: a structurally cold table entry.
-    seen = np.zeros(len(pc), dtype=bool)
-    order = np.argsort(pc, kind="stable")
-    pc_sorted = pc[order]
-    first_sorted = np.empty(len(pc), dtype=bool)
-    first_sorted[0] = True
-    first_sorted[1:] = pc_sorted[1:] != pc_sorted[:-1]
-    seen[order] = ~first_sorted
-    result.first_misses = int(first_sorted.sum())
+    first = first_occurrence(pc)
+    result.first_misses = int(first.sum())
     result.would_correct = int(correct.sum())
-    result.warm_would_correct = int((correct & seen).sum())
-
+    result.warm_would_correct = int((correct & ~first).sum())
     if per_pc:
-        stats = per_pc_sweep(pc, address, would_use, correct)
-        # Insert in first-occurrence program order, like the scalar pass.
-        histograms = {}
-        for index in np.sort(order[first_sorted]).tolist():
-            pc_value = int(pc[index])
-            stat = PerPCStat(pc_value)
-            for field, value in stats[pc_value].items():
-                setattr(stat, field, value)
-            histograms[pc_value] = stat
-        result.per_pc = histograms
+        result.per_pc = per_pc_sweep(pc, stream, would_use, correct)
     return result

@@ -7,7 +7,6 @@ from .gshare import GsharePredictor
 from .local import LocalHistoryPredictor, StaticPredictor
 from .runner import (
     BranchRunResult,
-    PC_WARMUP,
     PREDICTORS,
     PerPCBranchStat,
     make_branch_predictor,
@@ -18,6 +17,6 @@ __all__ = [
     "BimodalPredictor", "CombiningPredictor", "PerfectPredictor",
     "CounterTable", "GsharePredictor",
     "LocalHistoryPredictor", "StaticPredictor",
-    "BranchRunResult", "PerPCBranchStat", "PC_WARMUP", "PREDICTORS",
+    "BranchRunResult", "PerPCBranchStat", "PREDICTORS",
     "make_branch_predictor", "run_branch_predictor",
 ]

@@ -26,7 +26,9 @@ byte-identical (the equivalence suite compares both on every workload).
 
 import numpy as np
 
+from ..addrpred.runner import PC_WARMUP
 from ..nscan import (
+    KeySegments,
     segment_first_index,
     segment_sort,
     segmented_counter_states,
@@ -35,6 +37,7 @@ from ..trace.records import BRC
 from .bimodal import BimodalPredictor
 from .combining import CombiningPredictor
 from .local import LocalHistoryPredictor
+from .runner import PerPCBranchStat
 
 
 def _branch_stream(trace):
@@ -193,41 +196,13 @@ SWEEPS = {
 
 def branch_per_pc_sweep(pc, taken, correct, confident):
     """Vectorized :class:`PerPCBranchStat` histograms, keyed by branch
-    PC.
-
-    Returns a dict ``pc -> field dict`` mirroring the scalar histogram
-    attributes; the runner wraps them back into ``PerPCBranchStat``
-    objects.
-    """
-    from .runner import PC_WARMUP
-
-    order, seg_start, _ = segment_sort(pc)
-    took = taken[order]
-    hit = correct[order]
-    sure = confident[order]
-    rank = np.arange(pc.shape[0], dtype=np.int64) \
-        - segment_first_index(seg_start) + 1
-
-    starts = np.flatnonzero(seg_start)
-    counts = np.diff(np.append(starts, pc.shape[0]))
-
-    def _sums(values):
-        return np.add.reduceat(values.astype(np.int64), starts)
-
-    pc_sorted = pc[order]
-    taken_sums = _sums(took)
-    correct_sums = _sums(hit)
-    warm_sums = _sums(hit & (rank > PC_WARMUP))
-    confident_sums = _sums(sure)
-    confident_correct_sums = _sums(sure & hit)
-    stats = {}
-    for i, start in enumerate(starts.tolist()):
-        stats[int(pc_sorted[start])] = {
-            "count": int(counts[i]),
-            "taken": int(taken_sums[i]),
-            "correct": int(correct_sums[i]),
-            "warm_correct": int(warm_sums[i]),
-            "confident": int(confident_sums[i]),
-            "confident_correct": int(confident_correct_sums[i]),
-        }
-    return stats
+    PC in first-occurrence order, like the sequential pass."""
+    seg = KeySegments(pc)
+    took = taken[seg.order]
+    hit = correct[seg.order]
+    sure = confident[seg.order]
+    return seg.records(
+        PerPCBranchStat, count=seg.counts, taken=seg.sums(took),
+        correct=seg.sums(hit),
+        warm_correct=seg.sums(hit & (seg.rank > PC_WARMUP)),
+        confident=seg.sums(sure), confident_correct=seg.sums(sure & hit))

@@ -17,6 +17,7 @@ predicted.
 """
 
 from .. import kernel
+from ..addrpred.runner import PC_WARMUP
 from ..errors import ReproError
 from ..trace.records import BRC
 from .bimodal import BimodalPredictor
@@ -27,11 +28,6 @@ from .local import LocalHistoryPredictor, StaticPredictor
 #: Predictor kinds the runner accepts by name.
 PREDICTORS = ("combining", "bimodal", "local", "gshare", "static",
               "perfect")
-
-#: observations before a branch PC counts as warm (a 2-bit counter
-#: needs up to two trainings to cross the threshold, plus the cold
-#: first prediction itself); mirrors ``repro.vpred.runner.PC_WARMUP``
-PC_WARMUP = 3
 
 _FACTORIES = {
     "combining": CombiningPredictor,
@@ -308,8 +304,6 @@ def run_branch_predictor(trace, predictor=None, per_pc=False):
 
 def _run_numpy(trace, name, per_pc):
     """Vectorized pass, byte-identical to the sequential default run."""
-    import numpy as np
-
     from .nsweep import SWEEPS, _branch_stream, branch_per_pc_sweep
 
     positions, correct_mask, confident_mask, conditional = \
@@ -319,25 +313,8 @@ def _run_numpy(trace, name, per_pc):
         mispredicted, conditional, int(correct_mask.sum()), len(trace),
         int(confident_mask.sum()),
         int((confident_mask & correct_mask).sum()))
-    if not per_pc:
-        return result
-    if not conditional:
-        result.per_pc = {}
-        return result
-    _, pc, taken = _branch_stream(trace)
-    stats = branch_per_pc_sweep(pc, taken, correct_mask, confident_mask)
-    # Insert in first-occurrence program order, like the scalar pass.
-    order = np.argsort(pc, kind="stable")
-    pc_sorted = pc[order]
-    first_sorted = np.empty(len(pc), dtype=bool)
-    first_sorted[0] = True
-    first_sorted[1:] = pc_sorted[1:] != pc_sorted[:-1]
-    histograms = {}
-    for index in np.sort(order[first_sorted]).tolist():
-        pc_value = int(pc[index])
-        stat = PerPCBranchStat(pc_value)
-        for field, field_value in stats[pc_value].items():
-            setattr(stat, field, field_value)
-        histograms[pc_value] = stat
-    result.per_pc = histograms
+    if per_pc:
+        _, pc, taken = _branch_stream(trace)
+        result.per_pc = branch_per_pc_sweep(pc, taken, correct_mask,
+                                            confident_mask)
     return result

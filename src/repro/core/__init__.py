@@ -11,11 +11,6 @@ from .config import (
     WIDTH_LABELS,
     ConfigSpec,
     MachineConfig,
-    config_a,
-    config_b,
-    config_c,
-    config_d,
-    config_e,
     config_letters,
     config_specs,
     get_config_spec,
@@ -43,10 +38,9 @@ from .simulator import (
 )
 
 __all__ = [
-    "CONFIG_LETTERS", "LOAD_SPEC_IDEAL", "LOAD_SPEC_NONE", "LOAD_SPEC_REAL",
+    "LOAD_SPEC_IDEAL", "LOAD_SPEC_NONE", "LOAD_SPEC_REAL",
     "MEM_SPEC_MDPT", "MEM_SPEC_PERFECT",
     "PAPER_ISSUE_WIDTHS", "WIDTH_LABELS", "ConfigSpec", "MachineConfig",
-    "config_a", "config_b", "config_c", "config_d", "config_e",
     "config_letters", "config_specs", "get_config_spec",
     "paper_config", "register_config", "unregister_config",
     "LOAD_CATEGORIES", "LOAD_NOT_PREDICTED", "LOAD_PRED_CORRECT",
@@ -56,11 +50,3 @@ __all__ = [
     "value_outcomes",
 ]
 
-
-def __getattr__(name):
-    # CONFIG_LETTERS tracks the live registry (late registrations show
-    # up here too).
-    if name == "CONFIG_LETTERS":
-        return config_letters()
-    raise AttributeError("module %r has no attribute %r"
-                         % (__name__, name))

@@ -265,8 +265,7 @@ class ConfigSpec:
 
         ``rules`` substitutes the collapse-rule set for collapsing
         configurations (and enables collapsing when given to a
-        non-collapsing one, matching the historical ``config_c(8,
-        rules=...)`` behaviour); other keyword arguments override
+        non-collapsing one); other keyword arguments override
         :class:`MachineConfig` parameters such as ``window_size``.
         """
         kwargs = {}
@@ -359,40 +358,3 @@ register_config("I", "C + real value speculation (squash/replay)",
 register_config("J", "I + load-driven exit-branch prediction",
                 collapse=True, value_spec=VALUE_SPEC_REPLAY,
                 branch_spec=True)
-
-
-def __getattr__(name):
-    # ``CONFIG_LETTERS`` stays importable for backward compatibility but
-    # now reflects the live registry.
-    if name == "CONFIG_LETTERS":
-        return config_letters()
-    raise AttributeError("module %r has no attribute %r"
-                         % (__name__, name))
-
-
-# ----------------------------------------------------------------------
-# Deprecated per-letter constructors (thin wrappers over the registry).
-
-def config_a(issue_width, **kwargs):
-    """Deprecated: use ``paper_config("A", width)``."""
-    return paper_config("A", issue_width, **kwargs)
-
-
-def config_b(issue_width, **kwargs):
-    """Deprecated: use ``paper_config("B", width)``."""
-    return paper_config("B", issue_width, **kwargs)
-
-
-def config_c(issue_width, rules=None, **kwargs):
-    """Deprecated: use ``paper_config("C", width)``."""
-    return paper_config("C", issue_width, rules=rules, **kwargs)
-
-
-def config_d(issue_width, rules=None, **kwargs):
-    """Deprecated: use ``paper_config("D", width)``."""
-    return paper_config("D", issue_width, rules=rules, **kwargs)
-
-
-def config_e(issue_width, rules=None, **kwargs):
-    """Deprecated: use ``paper_config("E", width)``."""
-    return paper_config("E", issue_width, rules=rules, **kwargs)

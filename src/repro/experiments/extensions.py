@@ -183,23 +183,22 @@ def predictor_comparison(runner, width=16):
     """The paper's future-work question: better load-address predictors.
 
     Configuration D speedup over A per workload, with the load table
-    swapped between the paper's two-delta, a Markov correlation table, a
-    two-delta+Markov hybrid, and the ideal predictor (configuration E's
-    bound).
+    swapped between the paper's two-delta (configuration D itself), a
+    Markov correlation table, a two-delta+Markov hybrid, and the ideal
+    predictor (configuration E's bound).
     """
-    from ..addrpred import HybridTable, MarkovTable, TwoDeltaTable
+    from ..addrpred import HybridTable, MarkovTable
     from ..addrpred.runner import run_address_predictor
-    tables = (("two-delta", TwoDeltaTable),
-              ("markov", MarkovTable),
+    tables = (("markov", MarkovTable),
               ("hybrid", HybridTable))
-    headers = (["workload"] + [label for label, _ in tables]
+    headers = (["workload", "two-delta"] + [label for label, _ in tables]
                + ["ideal (E)"])
     rows = []
     config = MachineConfig(width, collapse_rules=CollapseRules.paper(),
                            load_spec=LOAD_SPEC_REAL)
     for name in runner.names:
         baseline = runner.result(name, "A", width)
-        row = [name]
+        row = [name, runner.result(name, "D", width).speedup_over(baseline)]
         for label, factory in tables:
             result = runner.simulate(
                 name, config, extra_key={"addrpred": label},

@@ -40,9 +40,6 @@ def numpy_available():
     return _numpy_ok
 
 
-_numpy_available = numpy_available  # backward-compatible alias
-
-
 def _validate(name):
     if name not in KERNELS:
         raise ConfigError("unknown kernel %r (expected one of %s)"
@@ -60,8 +57,8 @@ def active_kernel():
     if name is None:
         name = _validate(os.environ.get("REPRO_KERNEL", "auto"))
     if name == "auto":
-        name = "numpy" if _numpy_available() else "python"
-    if name == "numpy" and not _numpy_available():  # pragma: no cover
+        name = "numpy" if numpy_available() else "python"
+    if name == "numpy" and not numpy_available():  # pragma: no cover
         raise ConfigError("REPRO_KERNEL=numpy but numpy is not importable")
     return name
 

@@ -98,8 +98,9 @@ RELOCK_MISSES = 2
 #: per-PC checks need this many observations to be meaningful
 MIN_OBSERVATIONS = 16
 #: slack on the delta-change budget for predictable sites, on top of
-#: the entry-derived term (see :func:`cross_check`): absorbs the very
-#: first delta of the run and degenerate single-iteration entries
+#: the entry-derived term (see :func:`check_predictable_sites`):
+#: absorbs the very first delta of the run and degenerate
+#: single-iteration entries
 STABILITY_BASE = 4
 
 
@@ -327,6 +328,62 @@ def count_loop_entries(trace, loops):
     return entries
 
 
+def check_predictable_sites(check, sites, predictable, trace, per_pc,
+                            aliased, relock, unstable):
+    """The per-site half of both load-stream cross-checks.
+
+    Every site whose class is in ``predictable`` and whose PC has at
+    least :data:`MIN_OBSERVATIONS` observations in the
+    :class:`~repro.addrpred.runner.PerPCStat` histograms ``per_pc`` must
+    satisfy the two-delta soundness floor
+    ``correct >= count - WARMUP_MISSES - RELOCK_MISSES * delta_changes``,
+    and its delta changes must fit a stability budget of
+    :data:`STABILITY_BASE` plus :data:`RELOCK_MISSES` per dynamic entry
+    into its innermost loop.  Sites in ``aliased`` (static indices whose
+    table entry collides) are exempt.  Violations are worded by the
+    ``relock`` and ``unstable`` templates, filled with ``(line, index,
+    class, correct, count, floor, delta_changes)`` and ``(line, index,
+    class, delta_changes, count, loop_entries, budget)``.  Updates the
+    site counters, ``steady_accuracy`` and ``violations`` of ``check``.
+    """
+    site_loops = {site.loop for site in sites
+                  if site.cls in predictable and site.loop is not None}
+    entries = count_loop_entries(trace, site_loops)
+    warm_correct = 0
+    warm_total = 0
+    for site in sites:
+        if site.cls not in predictable:
+            continue
+        stat = per_pc.get(site.pc)
+        if stat is None:
+            continue
+        if site.index in aliased:
+            check.skipped_aliased += 1
+            continue
+        if stat.count < MIN_OBSERVATIONS:
+            check.skipped_short += 1
+            continue
+        check.checked_sites += 1
+        warm = max(0, stat.count - WARMUP_MISSES)
+        warm_correct += min(stat.correct, warm)
+        warm_total += warm
+        floor = stat.count - WARMUP_MISSES \
+            - RELOCK_MISSES * stat.delta_changes
+        if stat.correct < floor:
+            check.violations.append(
+                relock % (site.line, site.index, site.cls, stat.correct,
+                          stat.count, floor, stat.delta_changes))
+        loop_entries = entries.get(site.loop.header, 1)
+        budget = STABILITY_BASE + RELOCK_MISSES * loop_entries
+        if stat.delta_changes > budget:
+            check.violations.append(
+                unstable % (site.line, site.index, site.cls,
+                            stat.delta_changes, stat.count, loop_entries,
+                            budget))
+    if warm_total:
+        check.steady_accuracy = warm_correct / warm_total
+
+
 def cross_check(classification, trace, result, table_entries=4096):
     """Verify the static classification against a dynamic predictor run.
 
@@ -350,49 +407,15 @@ def cross_check(classification, trace, result, table_entries=4096):
     if per_pc is None:
         raise ValueError("cross_check needs per-PC stats: run the "
                          "predictor with per_pc=True")
-    aliased = classification.aliased_indices(table_entries)
-    site_loops = {site.loop for site in classification.sites
-                  if site.cls in PREDICTABLE_CLASSES
-                  and site.loop is not None}
-    entries = count_loop_entries(trace, site_loops)
-    warm_correct = 0
-    warm_total = 0
-    for site in classification.sites:
-        if site.cls not in PREDICTABLE_CLASSES:
-            continue
-        stat = per_pc.get(site.pc)
-        if stat is None:
-            continue
-        if site.index in aliased:
-            check.skipped_aliased += 1
-            continue
-        if stat.count < MIN_OBSERVATIONS:
-            check.skipped_short += 1
-            continue
-        check.checked_sites += 1
-        warm = max(0, stat.count - WARMUP_MISSES)
-        warm_correct += min(stat.correct, warm)
-        warm_total += warm
-        floor = stat.count - WARMUP_MISSES \
-            - RELOCK_MISSES * stat.delta_changes
-        if stat.correct < floor:
-            check.violations.append(
-                "line %s: load #%d (%s) broke the two-delta re-lock "
-                "bound: %d/%d correct, floor %d with %d delta changes"
-                % (site.line, site.index, site.cls, stat.correct,
-                   stat.count, floor, stat.delta_changes))
-        loop_entries = entries.get(site.loop.header, 1)
-        budget = STABILITY_BASE + RELOCK_MISSES * loop_entries
-        if stat.delta_changes > budget:
-            check.violations.append(
-                "line %s: load #%d classified %s but its address "
-                "stream changed delta %d times over %d loads across "
-                "%d loop entries (budget %d) — statically claimed "
-                "constant stride is not constant within the loop"
-                % (site.line, site.index, site.cls, stat.delta_changes,
-                   stat.count, loop_entries, budget))
-    if warm_total:
-        check.steady_accuracy = warm_correct / warm_total
+    check_predictable_sites(
+        check, classification.sites, PREDICTABLE_CLASSES, trace, per_pc,
+        classification.aliased_indices(table_entries),
+        relock="line %s: load #%d (%s) broke the two-delta re-lock "
+               "bound: %d/%d correct, floor %d with %d delta changes",
+        unstable="line %s: load #%d classified %s but its address "
+                 "stream changed delta %d times over %d loads across "
+                 "%d loop entries (budget %d) — statically claimed "
+                 "constant stride is not constant within the loop")
     # Aggregate coverage bound: static class caps vs the dynamic
     # fraction of loads whose prediction the confidence gate used.
     check.loads = result.loads
@@ -418,6 +441,6 @@ __all__ = [
     "CLASS_AFFINE", "CLASS_CHASE", "CLASS_INVARIANT", "CLASS_IRREGULAR",
     "CLASS_STRAIGHT", "CLASS_STRIDE", "COVERAGE_CAP", "LoadSite",
     "MIN_OBSERVATIONS", "PREDICTABLE_CLASSES", "RELOCK_MISSES",
-    "WARMUP_MISSES", "check_addr_untracked", "count_loop_entries",
-    "cross_check",
+    "STABILITY_BASE", "WARMUP_MISSES", "check_addr_untracked",
+    "check_predictable_sites", "count_loop_entries", "cross_check",
 ]

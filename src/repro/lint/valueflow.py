@@ -63,6 +63,7 @@ Two artifacts are derived:
 
 from ..isa.opcodes import Opcode
 from .cfg import ControlFlowGraph
+from .addrclass import check_predictable_sites
 from .dataflow import reg_defs
 from .induction import AFFINE, INV, IV, LOAD, LoopValues
 from .loops import LoopForest
@@ -137,17 +138,6 @@ VALUE_COVERAGE_CAP = {
     CLASS_UNKNOWN: 1.0,
     CLASS_STRAIGHT: 1.0,
 }
-
-#: two-delta warmup: a cold entry needs at most 3 observations before
-#: a stride-0 value stream predicts (see repro.vpred.stride)
-WARMUP_MISSES = 3
-#: misses per observed value-stride change before the table re-locks
-RELOCK_MISSES = 2
-#: per-PC checks need this many observations to be meaningful
-MIN_OBSERVATIONS = 16
-#: slack on the stride-change budget for invariant sites, on top of
-#: the entry-derived term (see :func:`valueflow_cross_check`)
-STABILITY_BASE = 4
 
 #: relative tolerance of the IPC-chain comparisons (matches ipcbound)
 _REL_TOL = 1e-9
@@ -471,11 +461,11 @@ def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
 
     - **per PC** — ``result`` (or a fresh
       ``run_value_predictor(trace, predictor="stride", per_pc=True)``
-      pass) must respect every invariant-class load's soundness floor
-      ``correct >= count - WARMUP - RELOCK * stride_changes`` with the
-      stride-change budget derived from dynamic loop entries, and the
-      trace-weighted class caps must dominate the dynamic confident
-      coverage;
+      pass) must respect every predictable-class load's soundness
+      floor and stability budget
+      (:func:`~repro.lint.addrclass.check_predictable_sites`, the check
+      the address classification runs), and the trace-weighted class
+      caps must dominate the dynamic confident coverage;
 
     - **variant V** — with ``recurrence`` (a
       :class:`~repro.lint.recurrence.RecurrenceAnalysis` built over
@@ -500,50 +490,15 @@ def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
         raise ValueError("valueflow_cross_check needs per-PC stats: run "
                          "the predictor with per_pc=True")
 
-    from .addrclass import count_loop_entries
-    aliased = valueflow.aliased_indices(table_entries)
-    site_loops = {site.loop for site in valueflow.load_sites
-                  if site.cls in VALUE_PREDICTABLE_CLASSES
-                  and site.loop is not None}
-    entries = count_loop_entries(trace, site_loops)
-    warm_correct = 0
-    warm_total = 0
-    for site in valueflow.load_sites:
-        if site.cls not in VALUE_PREDICTABLE_CLASSES:
-            continue
-        stat = per_pc.get(site.pc)
-        if stat is None:
-            continue
-        if site.index in aliased:
-            check.skipped_aliased += 1
-            continue
-        if stat.count < MIN_OBSERVATIONS:
-            check.skipped_short += 1
-            continue
-        check.checked_sites += 1
-        warm = max(0, stat.count - WARMUP_MISSES)
-        warm_correct += min(stat.correct, warm)
-        warm_total += warm
-        floor = stat.count - WARMUP_MISSES \
-            - RELOCK_MISSES * stat.stride_changes
-        if stat.correct < floor:
-            check.violations.append(
-                "line %s: load #%d (%s) broke the stride-value re-lock "
-                "bound: %d/%d correct, floor %d with %d stride changes"
-                % (site.line, site.index, site.cls, stat.correct,
-                   stat.count, floor, stat.stride_changes))
-        loop_entries = entries.get(site.loop.header, 1)
-        budget = STABILITY_BASE + RELOCK_MISSES * loop_entries
-        if stat.stride_changes > budget:
-            check.violations.append(
-                "line %s: load #%d classified %s but its value stream "
-                "changed stride %d times over %d loads across %d loop "
-                "entries (budget %d) — statically claimed invariance "
-                "does not hold within the loop"
-                % (site.line, site.index, site.cls, stat.stride_changes,
-                   stat.count, loop_entries, budget))
-    if warm_total:
-        check.steady_accuracy = warm_correct / warm_total
+    check_predictable_sites(
+        check, valueflow.load_sites, VALUE_PREDICTABLE_CLASSES, trace,
+        per_pc, valueflow.aliased_indices(table_entries),
+        relock="line %s: load #%d (%s) broke the stride-value re-lock "
+               "bound: %d/%d correct, floor %d with %d stride changes",
+        unstable="line %s: load #%d classified %s but its value stream "
+                 "changed stride %d times over %d loads across %d loop "
+                 "entries (budget %d) — statically claimed invariance "
+                 "does not hold within the loop")
     check.loads = result.loads
     if result.loads:
         attempted = sum(1 for used in result.attempted.values() if used)
@@ -631,8 +586,7 @@ def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
 __all__ = [
     "ALL_CLASSES", "CLASS_AFFINE", "CLASS_CONSTANT", "CLASS_INVARIANT",
     "CLASS_LOAD", "CLASS_PERIODIC", "CLASS_STRAIGHT", "CLASS_STRIDE",
-    "CLASS_UNKNOWN", "MIN_OBSERVATIONS", "RELOCK_MISSES",
-    "STABILITY_BASE", "VALUE_COVERAGE_CAP", "VALUE_PREDICTABLE_CLASSES",
-    "ValueFlowAnalysis", "ValueSite", "ValueflowCheck", "WARMUP_MISSES",
-    "class_join", "class_leq", "valueflow_cross_check",
+    "CLASS_UNKNOWN", "VALUE_COVERAGE_CAP", "VALUE_PREDICTABLE_CLASSES",
+    "ValueFlowAnalysis", "ValueSite", "ValueflowCheck", "class_join",
+    "class_leq", "valueflow_cross_check",
 ]

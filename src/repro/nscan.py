@@ -18,7 +18,10 @@ counter value in ``O(log longest-segment)`` vector rounds, byte-exact
 against the sequential update loop.
 
 These helpers are deliberately free of predictor policy: the sweep
-modules own index hashing, stride rules and bookkeeping.
+modules own index hashing, stride rules and bookkeeping.  The per-PC
+histogram sweeps of every family share :class:`KeySegments` (occurrence
+ranks and per-key sums) and :func:`first_occurrence` (structurally cold
+first accesses).
 """
 
 import numpy as np
@@ -64,6 +67,52 @@ def segment_first_index(seg_start):
     if n == 0:
         return idx
     return np.maximum.accumulate(np.where(seg_start, idx, 0))
+
+
+def first_occurrence(keys):
+    """Per element, True where its key occurs for the first time."""
+    order, seg_start, _ = segment_sort(keys)
+    first = np.empty(keys.shape[0], dtype=bool)
+    first[order] = seg_start
+    return first
+
+
+class KeySegments:
+    """Events bucketed by key: the skeleton of a per-key histogram sweep.
+
+    ``order`` and ``start`` come from :func:`segment_sort`; ``rank`` is
+    each sorted event's 1-based occurrence number within its key,
+    ``starts`` and ``counts`` the sorted slot and length of each segment.
+    :meth:`sums` totals a column per segment and :meth:`records` turns
+    per-segment columns into one histogram object per key.
+    """
+
+    def __init__(self, keys):
+        n = keys.shape[0]
+        self.order, self.start, _ = segment_sort(keys)
+        self.rank = np.arange(n, dtype=np.int64) \
+            - segment_first_index(self.start) + 1
+        self.starts = np.flatnonzero(self.start)
+        self.counts = np.diff(np.append(self.starts, n))
+        self._keys = keys
+
+    def sums(self, values):
+        """Per-segment sum of a column in sorted order."""
+        return np.add.reduceat(values.astype(np.int64), self.starts)
+
+    def records(self, factory, **columns):
+        """``{key: factory(key)}`` in first-occurrence order, each record's
+        attributes set from the per-segment ``columns``."""
+        first = self.order[self.starts]
+        keys = self._keys[first].tolist()
+        lists = {name: values.tolist() if isinstance(values, np.ndarray)
+                 else list(values) for name, values in columns.items()}
+        records = {}
+        for i in np.argsort(first).tolist():
+            record = records[keys[i]] = factory(keys[i])
+            for name, values in lists.items():
+                setattr(record, name, values[i])
+        return records
 
 
 def segmented_counter_states(seg_id, step, lo, hi, initial, active=None):

@@ -1,28 +1,16 @@
 """Load-value prediction (extension; paper Figure 1.d, citing [9]).
 
-A family of predictors behind one runner/stat shape: last-value
-(:mod:`.last_value`), two-delta stride (:mod:`.stride`), finite-context
-(:mod:`.fcm`) and a stride+FCM hybrid.  Config I consumes the stride
-table's outcomes; ``lint.valueflow`` statically upper-bounds its
-confident coverage.
+Value prediction runs the load-prediction pass of :mod:`repro.addrpred`
+over the values loads return instead of their addresses.  The only
+value-specific table is last-value (:mod:`.last_value`); the
+``"stride"``, ``"fcm"`` and ``"hybrid"`` kinds are the shared two-delta,
+Markov and hybrid tables.  Config I consumes the stride kind's
+outcomes; ``lint.valueflow`` statically upper-bounds its confident
+coverage.
 """
 
-from .fcm import FCMValueTable, HybridValueTable
 from .last_value import LastValueEntry, LastValueTable
-from .runner import (
-    PC_WARMUP,
-    PREDICTORS,
-    PerPCValueStat,
-    ValuePredictionResult,
-    make_value_table,
-    run_last_value_predictor,
-    run_value_predictor,
-)
-from .stride import StrideValueEntry, StrideValueTable
+from .runner import PREDICTORS, make_value_table, run_value_predictor
 
-__all__ = ["LastValueEntry", "LastValueTable",
-           "StrideValueEntry", "StrideValueTable",
-           "FCMValueTable", "HybridValueTable",
-           "PerPCValueStat", "ValuePredictionResult",
-           "PREDICTORS", "PC_WARMUP", "make_value_table",
-           "run_value_predictor", "run_last_value_predictor"]
+__all__ = ["LastValueEntry", "LastValueTable", "PREDICTORS",
+           "make_value_table", "run_value_predictor"]

@@ -1,252 +1,38 @@
 """Vectorized value-predictor sweeps (numpy kernel).
 
-Reproduces :func:`repro.vpred.runner.run_value_predictor` with the
-default tables exactly, one sweep per family member:
-
-- **last** — the predicted value is a segment shift of the loaded-value
-  stream within each table-index bucket (the cold entry predicts 0);
-- **stride** — the two-delta recurrence of
-  :mod:`repro.addrpred.nsweep` transplanted to values: the predicting
-  stride is the observed stride at the latest earlier promotion,
-  recovered with a running-max forward fill;
-- **fcm** — two segment sorts: the first (by table index) unfolds each
-  entry's last-value *context*, the second (by correlation slot) makes
-  the prediction a segment shift of the value stream in slot order,
-  exactly the program-order overwrite sequence of the shared
-  second-level table;
-- **hybrid** — both component sweeps plus a segmented clamped-counter
-  scan for the per-PC chooser, active only on component disagreement.
-
-All confidence counters are the shared segmented clamped-counter scan
-of :mod:`repro.nscan`.  Per-PC histograms
-(:class:`repro.vpred.runner.PerPCValueStat`) re-bucket the outcome
-stream by PC, where occurrence ranks, warm hits and stride changes are
-segment arithmetic.
+The ``"stride"``, ``"fcm"`` and ``"hybrid"`` kinds are the shared
+load-stream sweeps of :mod:`repro.addrpred.nsweep` run over loaded
+values; only the last-value sweep is value-specific: the predicted value
+is a segment shift of the loaded-value stream within each table-index
+bucket (the cold entry predicts 0), and the confidence gate is the
+shared segmented clamped-counter scan.
 """
 
-import numpy as np
-
-from ..nscan import (
-    segment_first_index,
-    segment_shift,
-    segment_sort,
-    segmented_counter_states,
+from ..addrpred.nsweep import (
+    confidence_gate,
+    hybrid_sweep,
+    markov_sweep,
+    two_delta_sweep,
 )
-from ..trace.records import LD
-from .fcm import FCMValueTable, HybridValueTable
+from ..nscan import segment_shift, segment_sort
 from .last_value import LastValueTable
-from .stride import StrideValueTable
-
-_MASK32 = np.int64(0xFFFFFFFF)
 
 
-def _load_stream(trace):
-    """(positions, pc, value) of every dynamic load, program order."""
-    soa = trace.soa()
-    mask = soa.gathered("cls") == LD
-    positions = np.flatnonzero(mask)
-    pc = soa.gathered("pc")[mask]
-    value = soa.dyn["mem_value"][mask] & _MASK32
-    return positions, pc, value
-
-
-def value_sweep(trace, predictor="last"):
-    """Per-load ``(positions, would_use, correct)`` of the default table
-    of the given predictor kind."""
-    sweep = _SWEEPS[predictor]
-    return sweep(trace)
-
-
-def last_value_sweep(trace):
-    """Per-load ``(positions, would_use, correct)`` of the default
-    last-value table."""
-    positions, pc, value = _load_stream(trace)
-    n = positions.shape[0]
-    if n == 0:
-        empty = np.empty(0, dtype=bool)
-        return positions, empty, empty
+def last_value_sweep(pc, value):
+    """Per-load ``(would_use, correct)`` of the default last-value
+    table."""
     reference = LastValueTable()
     index = (pc >> 2) & reference.index_mask
     order, seg_start, seg_id = segment_sort(index)
-
     v = value[order]
-    correct_sorted = segment_shift(v, seg_start, 0) == v
-    confidence = segmented_counter_states(
-        seg_id, np.where(correct_sorted, reference.correct_reward,
-                         -reference.wrong_penalty),
-        0, reference.counter_max, 0)
-    would_sorted = confidence >= reference.confidence_threshold
-
-    correct = np.empty(n, dtype=bool)
-    correct[order] = correct_sorted
-    would_use = np.empty(n, dtype=bool)
-    would_use[order] = would_sorted
-    return positions, would_use, correct
+    return confidence_gate(order, seg_id, segment_shift(v, seg_start, 0) == v,
+                           reference)
 
 
-def stride_value_sweep(trace):
-    """Per-load ``(positions, would_use, correct)`` of the default
-    two-delta stride value table."""
-    positions, pc, value = _load_stream(trace)
-    n = positions.shape[0]
-    if n == 0:
-        empty = np.empty(0, dtype=bool)
-        return positions, empty, empty
-    reference = StrideValueTable()
-    index = (pc >> 2) & reference.index_mask
-    order, seg_start, seg_id = segment_sort(index)
-
-    v = value[order]
-    last_value = segment_shift(v, seg_start, 0)
-    new_stride = (v - last_value) & _MASK32
-    promoted = new_stride == segment_shift(new_stride, seg_start, 0)
-
-    # Predicting stride before each event: the observed stride at the
-    # latest earlier promotion in the same bucket, else the initial 0.
-    slots = np.arange(n, dtype=np.int64)
-    latest = np.maximum.accumulate(np.where(promoted, slots, -1))
-    earlier = segment_shift(latest, seg_start, -1)
-    in_bucket = earlier >= segment_first_index(seg_start)
-    stride = np.where(in_bucket,
-                      new_stride[np.where(in_bucket, earlier, 0)], 0)
-
-    predicted = (last_value + stride) & _MASK32
-    correct_sorted = predicted == v
-    confidence = segmented_counter_states(
-        seg_id, np.where(correct_sorted, reference.correct_reward,
-                         -reference.wrong_penalty),
-        0, reference.counter_max, 0)
-    would_sorted = confidence >= reference.confidence_threshold
-
-    correct = np.empty(n, dtype=bool)
-    correct[order] = correct_sorted
-    would_use = np.empty(n, dtype=bool)
-    would_use[order] = would_sorted
-    return positions, would_use, correct
-
-
-def fcm_value_sweep(trace):
-    """Per-load ``(positions, would_use, correct)`` of the default FCM
-    table."""
-    positions, pc, value = _load_stream(trace)
-    n = positions.shape[0]
-    if n == 0:
-        empty = np.empty(0, dtype=bool)
-        return positions, empty, empty
-    reference = FCMValueTable()
-
-    # First level: each entry's last-value context is a segment shift
-    # within its table-index bucket.
-    index = (pc >> 2) & reference.index_mask
-    order, seg_start, seg_id = segment_sort(index)
-    context_sorted = segment_shift(value[order], seg_start, 0)
-    context = np.empty(n, dtype=np.int64)
-    context[order] = context_sorted
-
-    # Second level: every event writes its value to its correlation
-    # slot, so the prediction is the previous value in slot order.
-    slot = ((pc >> 2) ^ (context >> 2) ^ (context >> 13)) \
-        & reference.correlation_mask
-    slot_order, slot_start, _ = segment_sort(slot)
-    predicted_sorted = segment_shift(value[slot_order], slot_start, 0)
-    predicted = np.empty(n, dtype=np.int64)
-    predicted[slot_order] = predicted_sorted
-    correct = (predicted == value) & (predicted != 0)
-
-    # Confidence lives in the first-level entry.
-    confidence = segmented_counter_states(
-        seg_id, np.where(correct[order], reference.correct_reward,
-                         -reference.wrong_penalty),
-        0, reference.counter_max, 0)
-    would_use = np.empty(n, dtype=bool)
-    would_use[order] = confidence >= reference.confidence_threshold
-    return positions, would_use, correct
-
-
-def hybrid_value_sweep(trace):
-    """Per-load ``(positions, would_use, correct)`` of the default
-    hybrid (stride + FCM + chooser) table."""
-    positions, stride_use, stride_ok = stride_value_sweep(trace)
-    _, fcm_use, fcm_ok = fcm_value_sweep(trace)
-    n = positions.shape[0]
-    if n == 0:
-        return positions, stride_use, stride_ok
-    reference = HybridValueTable()
-    _, pc, _ = _load_stream(trace)
-
-    # Chooser: saturating counter per PC slot, stepped only when the
-    # components disagree (+1 toward FCM when FCM was right).
-    slot = (pc >> 2) & reference.chooser_mask
-    order, _, seg_id = segment_sort(slot)
-    disagree = stride_ok != fcm_ok
-    step = np.where(fcm_ok, 1, -1)
-    state_sorted = segmented_counter_states(
-        seg_id, step[order], 0, reference.chooser_max,
-        reference.chooser_threshold - 1, active=disagree[order])
-    state = np.empty(n, dtype=np.int64)
-    state[order] = state_sorted
-    pick_fcm = state >= reference.chooser_threshold
-
-    would_use = np.where(pick_fcm, fcm_use, stride_use)
-    correct = np.where(pick_fcm, fcm_ok, stride_ok)
-    return positions, would_use, correct
-
-
-_SWEEPS = {
+#: runner-facing dispatch: value-predictor kind -> sweep
+SWEEPS = {
     "last": last_value_sweep,
-    "stride": stride_value_sweep,
-    "fcm": fcm_value_sweep,
-    "hybrid": hybrid_value_sweep,
+    "stride": two_delta_sweep,
+    "fcm": markov_sweep,
+    "hybrid": hybrid_sweep,
 }
-
-
-def value_per_pc_sweep(pc, value, would_use, correct):
-    """Vectorized :class:`PerPCValueStat` histograms, keyed by load PC.
-
-    Returns a dict ``pc -> field dict`` mirroring the scalar histogram
-    attributes; the runner wraps them back into ``PerPCValueStat``
-    objects.
-    """
-    from .runner import PC_WARMUP
-
-    order, seg_start, _ = segment_sort(pc)
-    v = value[order]
-    hit = correct[order]
-    used = would_use[order]
-    rank = np.arange(pc.shape[0], dtype=np.int64) \
-        - segment_first_index(seg_start) + 1
-
-    # Value strides exist from the second occurrence of a PC on; a
-    # change is counted from the third (previous stride defined).
-    stride = (v - segment_shift(v, seg_start, 0)) & _MASK32
-    previous_stride = segment_shift(stride, seg_start, 0)
-    changed = (rank >= 3) & (stride != previous_stride)
-
-    starts = np.flatnonzero(seg_start)
-    counts = np.diff(np.append(starts, pc.shape[0]))
-    ends = starts + counts - 1
-
-    def _sums(values):
-        return np.add.reduceat(values.astype(np.int64), starts)
-
-    stats = {}
-    pc_sorted = pc[order]
-    correct_sums = _sums(hit)
-    warm_sums = _sums(hit & (rank > PC_WARMUP))
-    attempted_sums = _sums(used)
-    attempted_correct_sums = _sums(used & hit)
-    change_sums = _sums(changed)
-    for i, start in enumerate(starts.tolist()):
-        end = int(ends[i])
-        count = int(counts[i])
-        stats[int(pc_sorted[start])] = {
-            "count": count,
-            "correct": int(correct_sums[i]),
-            "attempted": int(attempted_sums[i]),
-            "attempted_correct": int(attempted_correct_sums[i]),
-            "warm_correct": int(warm_sums[i]),
-            "stride_changes": int(change_sums[i]),
-            "_last_value": int(v[end]),
-            "_last_stride": int(stride[end]) if count >= 2 else None,
-        }
-    return stats

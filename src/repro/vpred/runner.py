@@ -1,39 +1,35 @@
 """Program-order value-prediction pass over a trace.
 
-Mirrors :mod:`repro.addrpred.runner`: all loads train the table in
-program order, producing timing-independent per-load outcomes the
-scheduler consumes for the ``value_spec`` extension and config I's
-squash/replay mode.
+All loads train the table in program order, producing
+timing-independent per-load outcomes the scheduler consumes for the
+``value_spec`` extension and config I's squash/replay mode.  The pass
+is the load-prediction pass of :mod:`repro.addrpred.runner` run over the
+``mem_value`` column instead of ``eff_addr``.
 
-The pass runs any member of the predictor family — ``"last"`` (value
-locality), ``"stride"`` (two-delta over values; config I's table),
-``"fcm"`` (finite-context), ``"hybrid"`` (stride + FCM with a chooser) —
-behind one runner/stat shape.  With ``per_pc=True`` it additionally
-keeps one :class:`PerPCValueStat` histogram per static load PC:
-accuracy, confidence-gate coverage, and the number of *stride changes*
-in the value stream — the quantity the static ``lint.valueflow``
-classification cross-checks its per-site claims against, exactly as
-``lint.addrclass`` checks ``addrpred``'s histograms.
+The predictor kinds are ``"last"`` (value locality), ``"stride"`` (the
+paper's two-delta table over values; config I's table), ``"fcm"``
+(finite-context: the Markov table over values) and ``"hybrid"``
+(stride + FCM with a chooser).  With ``per_pc=True`` the pass keeps one
+:class:`~repro.addrpred.runner.PerPCStat` histogram per static load PC,
+whose *delta changes* the static ``lint.valueflow`` classification
+cross-checks its per-site claims against, exactly as ``lint.addrclass``
+checks the address histograms.
 """
 
 from .. import kernel
-from ..trace.records import LD
-from .fcm import FCMValueTable, HybridValueTable
+from ..addrpred.markov import HybridTable, MarkovTable
+from ..addrpred.runner import run_load_sweep, run_load_table
+from ..addrpred.two_delta import TwoDeltaTable
 from .last_value import LastValueTable
-from .stride import StrideValueTable
 
 #: Predictor kinds the runner accepts.
 PREDICTORS = ("last", "stride", "fcm", "hybrid")
 
-#: observations before a cold stride entry can predict (first access
-#: seeds the value, the stride must then be seen twice)
-PC_WARMUP = 3
-
 _TABLES = {
     "last": LastValueTable,
-    "stride": StrideValueTable,
-    "fcm": FCMValueTable,
-    "hybrid": HybridValueTable,
+    "stride": TwoDeltaTable,
+    "fcm": MarkovTable,
+    "hybrid": HybridTable,
 }
 
 
@@ -47,138 +43,15 @@ def make_value_table(predictor="last"):
     return factory()
 
 
-class PerPCValueStat:
-    """Dynamic predictor behaviour of one static load (one PC).
-
-    ``stride_changes`` counts observations whose value delta differs
-    from the previous delta at the same PC — the quantity that bounds
-    two-delta stride misses from above (each change costs at most two
-    misses before the table re-locks; see ``repro.lint.valueflow``).
-    """
-
-    __slots__ = ("pc", "count", "correct", "attempted",
-                 "attempted_correct", "warm_correct", "stride_changes",
-                 "_last_value", "_last_stride")
-
-    def __init__(self, pc):
-        self.pc = pc
-        self.count = 0
-        self.correct = 0
-        self.attempted = 0
-        self.attempted_correct = 0
-        #: correct predictions beyond the first PC_WARMUP observations
-        self.warm_correct = 0
-        self.stride_changes = 0
-        self._last_value = None
-        self._last_stride = None
-
-    def observe(self, value, would_use, correct):
-        self.count += 1
-        if correct:
-            self.correct += 1
-            if self.count > PC_WARMUP:
-                self.warm_correct += 1
-        if would_use:
-            self.attempted += 1
-            if correct:
-                self.attempted_correct += 1
-        if self._last_value is not None:
-            stride = (value - self._last_value) & 0xFFFFFFFF
-            if self._last_stride is not None \
-                    and stride != self._last_stride:
-                self.stride_changes += 1
-            self._last_stride = stride
-        self._last_value = value
-
-    @property
-    def accuracy(self):
-        return self.correct / self.count if self.count else 0.0
-
-    @property
-    def steady_accuracy(self):
-        """Accuracy over observations past the per-PC warmup."""
-        steady = self.count - PC_WARMUP
-        if steady <= 0:
-            return 0.0
-        return self.warm_correct / steady
-
-    @property
-    def coverage(self):
-        """Fraction of observations the confidence gate opened for."""
-        return self.attempted / self.count if self.count else 0.0
-
-    def __repr__(self):
-        return "<PerPCValueStat pc=0x%x n=%d acc=%.2f cov=%.2f changes=%d>" \
-            % (self.pc, self.count, self.accuracy, self.coverage,
-               self.stride_changes)
-
-
-class ValuePredictionResult:
-    """Per-load value-prediction outcomes (keyed by trace position).
-
-    ``attempted[pos]`` is True when confidence allowed using the
-    prediction; ``correct[pos]`` is True when the predicted value
-    matched.  ``per_pc`` maps PC -> :class:`PerPCValueStat` when the run
-    collected histograms, else None.
-    """
-
-    __slots__ = ("attempted", "correct", "loads", "would_correct",
-                 "first_misses", "warm_would_correct", "per_pc",
-                 "predictor")
-
-    def __init__(self, predictor="last"):
-        self.attempted = {}
-        self.correct = {}
-        self.loads = 0
-        self.would_correct = 0
-        #: dynamic loads that were the first access of their PC (the
-        #: table entry was cold)
-        self.first_misses = 0
-        #: correct predictions among non-first accesses
-        self.warm_would_correct = 0
-        self.per_pc = None
-        self.predictor = predictor
-
-    @property
-    def raw_accuracy(self):
-        """Fraction of loads whose table prediction was correct,
-        independent of confidence (for ``"last"`` this is value
-        locality: loads returning the same value as the previous
-        execution of the same static load)."""
-        if not self.loads:
-            return 0.0
-        return self.would_correct / self.loads
-
-    @property
-    def steady_accuracy(self):
-        """Accuracy excluding the first access of every PC, whose miss
-        is structural (cold entry) rather than a predictor failure."""
-        warm = self.loads - self.first_misses
-        if warm <= 0:
-            return 0.0
-        return self.warm_would_correct / warm
-
-    @property
-    def confident_coverage(self):
-        """Fraction of loads speculated on: confidence gate open *and*
-        the prediction correct — the coverage the static valueflow
-        bound must dominate."""
-        if not self.loads:
-            return 0.0
-        used = sum(1 for position, used in self.attempted.items()
-                   if used and self.correct[position])
-        return used / self.loads
-
-
 def run_value_predictor(trace, table=None, predictor="last", per_pc=False):
     """One program-order value-prediction pass over ``trace``.
 
     ``predictor`` selects the family member when no explicit ``table``
     is given.  ``per_pc=True`` additionally collects a
-    :class:`PerPCValueStat` per static load PC in ``result.per_pc``.
+    :class:`~repro.addrpred.runner.PerPCStat` per static load PC in
+    ``result.per_pc``.
 
-    With a default table the ``"last"``, ``"stride"``, ``"fcm"`` and
-    ``"hybrid"`` kinds dispatch to the vectorized sweeps
+    With a default table every kind dispatches to its vectorized sweep
     (:mod:`repro.vpred.nsweep`) under the numpy kernel; an explicit
     ``table`` runs the sequential loop so its trained entries stay
     observable.
@@ -188,94 +61,8 @@ def run_value_predictor(trace, table=None, predictor="last", per_pc=False):
                          % (predictor, ", ".join(PREDICTORS)))
     if table is None:
         if kernel.use_numpy():
-            return _run_numpy(trace, predictor, per_pc)
+            from .nsweep import SWEEPS
+            return run_load_sweep(trace, "mem_value", SWEEPS[predictor],
+                                  per_pc, predictor)
         table = make_value_table(predictor)
-    static = trace.static
-    cls = static.cls
-    pcs = static.pc
-    values = trace.mem_value
-    result = ValuePredictionResult(predictor)
-    observe = table.observe
-    attempted = result.attempted
-    correct_map = result.correct
-    seen_pcs = set()
-    histograms = {} if per_pc else None
-    for position, sidx in enumerate(trace.sidx):
-        if cls[sidx] != LD:
-            continue
-        pc = pcs[sidx]
-        value = values[position]
-        would_use, correct, _ = observe(pc, value)
-        result.loads += 1
-        if pc in seen_pcs:
-            if correct:
-                result.would_correct += 1
-                result.warm_would_correct += 1
-        else:
-            seen_pcs.add(pc)
-            result.first_misses += 1
-            if correct:
-                # Possible only for value 0 (cold entries predict 0);
-                # count it in the raw view.
-                result.would_correct += 1
-        attempted[position] = would_use
-        correct_map[position] = correct
-        if histograms is not None:
-            stat = histograms.get(pc)
-            if stat is None:
-                stat = histograms[pc] = PerPCValueStat(pc)
-            stat.observe(value & 0xFFFFFFFF, would_use, correct)
-    if histograms is not None:
-        result.per_pc = histograms
-    return result
-
-
-def run_last_value_predictor(trace, table=None):
-    """Deprecated aggregate-only entry point: use
-    ``run_value_predictor(trace, predictor="last", per_pc=True)``."""
-    return run_value_predictor(trace, table)
-
-
-def _run_numpy(trace, predictor, per_pc):
-    """Vectorized pass, byte-identical to the sequential default run."""
-    from .nsweep import value_per_pc_sweep, value_sweep
-
-    result = ValuePredictionResult(predictor)
-    positions, would_use, correct = value_sweep(trace, predictor)
-    result.loads = int(positions.shape[0])
-    result.attempted = dict(zip(positions.tolist(), would_use.tolist()))
-    result.correct = dict(zip(positions.tolist(), correct.tolist()))
-    if not result.loads:
-        if per_pc:
-            result.per_pc = {}
-        return result
-
-    import numpy as np
-
-    from .nsweep import _load_stream
-
-    _, pc, value = _load_stream(trace)
-    # First occurrence of each PC: a structurally cold table entry.
-    seen = np.zeros(len(pc), dtype=bool)
-    order = np.argsort(pc, kind="stable")
-    pc_sorted = pc[order]
-    first_sorted = np.empty(len(pc), dtype=bool)
-    first_sorted[0] = True
-    first_sorted[1:] = pc_sorted[1:] != pc_sorted[:-1]
-    seen[order] = ~first_sorted
-    result.first_misses = int(first_sorted.sum())
-    result.would_correct = int(correct.sum())
-    result.warm_would_correct = int((correct & seen).sum())
-
-    if per_pc:
-        stats = value_per_pc_sweep(pc, value, would_use, correct)
-        # Insert in first-occurrence program order, like the scalar pass.
-        histograms = {}
-        for index in np.sort(order[first_sorted]).tolist():
-            pc_value = int(pc[index])
-            stat = PerPCValueStat(pc_value)
-            for field, field_value in stats[pc_value].items():
-                setattr(stat, field, field_value)
-            histograms[pc_value] = stat
-        result.per_pc = histograms
-    return result
+    return run_load_table(trace, "mem_value", table, per_pc, predictor)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.cache import CACHE_FORMAT_VERSION, DiskCache, code_fingerprint
-from repro.core import config_d, paper_config, simulate_trace
+from repro.core import paper_config, simulate_trace
 from repro.core.results import SimResult
 from repro.errors import ReproError
 from repro.trace.synth import strided_load_loop
@@ -20,7 +20,7 @@ def cache(tmp_path):
 
 def _result(width=8, keep_schedules=False):
     trace = strided_load_loop(120)
-    result = simulate_trace(trace, config_d(width))
+    result = simulate_trace(trace, paper_config("D", width))
     if not keep_schedules:
         result.issue_cycles = None
     return trace, result
@@ -71,7 +71,7 @@ def test_get_trace_generates_once(cache):
 
 def test_result_round_trip_preserves_derived_measures(cache):
     trace, result = _result()
-    config = config_d(8)
+    config = paper_config("D", 8)
     assert cache.load_result("synth", 0.1, config) is None
     cache.store_result(result, "synth", 0.1, config)
     loaded = cache.load_result("synth", 0.1, config)
@@ -124,7 +124,7 @@ def test_blob_round_trip_counts_hit_and_miss(cache):
 
 def test_corrupt_result_entry_is_a_miss(cache):
     trace, result = _result()
-    config = config_d(8)
+    config = paper_config("D", 8)
     cache.store_result(result, "synth", 0.1, config)
     with open(cache.result_path("synth", 0.1, config), "w") as handle:
         handle.write("{not json")
@@ -151,7 +151,7 @@ def test_merge_counters_rejects_unknown_keys(cache):
 
 def test_cache_layout_on_disk(cache, tmp_path):
     trace, result = _result()
-    config = config_d(8)
+    config = paper_config("D", 8)
     cache.store_trace(trace, "synth", 0.1)
     cache.store_result(result, "synth", 0.1, config)
     assert os.listdir(cache.trace_dir)

@@ -6,11 +6,6 @@ from repro.collapse import CollapseRules
 from repro.core import (
     MachineConfig,
     PAPER_ISSUE_WIDTHS,
-    config_a,
-    config_b,
-    config_c,
-    config_d,
-    config_e,
     config_letters,
     config_specs,
     get_config_spec,
@@ -31,32 +26,32 @@ def test_paper_widths():
 
 
 def test_config_a_is_plain():
-    config = config_a(8)
+    config = paper_config("A", 8)
     assert not config.collapsing
     assert config.load_spec == "none"
     assert not config.perfect_branches
 
 
 def test_config_b_real_speculation():
-    config = config_b(8)
+    config = paper_config("B", 8)
     assert config.load_spec == "real"
     assert not config.collapsing
 
 
 def test_config_c_collapsing_only():
-    config = config_c(8)
+    config = paper_config("C", 8)
     assert config.collapsing
     assert config.load_spec == "none"
 
 
 def test_config_d_both():
-    config = config_d(8)
+    config = paper_config("D", 8)
     assert config.collapsing
     assert config.load_spec == "real"
 
 
 def test_config_e_ideal():
-    config = config_e(8)
+    config = paper_config("E", 8)
     assert config.collapsing
     assert config.load_spec == "ideal"
 
@@ -76,7 +71,7 @@ def test_paper_config_unknown_letter():
 
 def test_custom_collapse_rules_pass_through():
     rules = CollapseRules.pairs_only()
-    config = config_c(8, rules=rules)
+    config = paper_config("C", 8, rules=rules)
     assert config.collapse_rules is rules
 
 
@@ -98,7 +93,7 @@ def test_validation_errors():
 
 
 def test_repr_mentions_name():
-    assert "A/w8" in repr(config_a(8))
+    assert "A/w8" in repr(paper_config("A", 8))
 
 
 # ----------------------------------------------------------------------

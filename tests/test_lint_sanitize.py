@@ -11,7 +11,7 @@ from helpers import make_branch_result
 
 from repro.collapse import CollapseRules, Group
 from repro.core import MachineConfig
-from repro.core.config import CONFIG_LETTERS, paper_config
+from repro.core.config import config_letters, paper_config
 from repro.core.simulator import make_sanitizer, simulate_trace
 from repro.lint import SanitizeError, SchedulerSanitizer
 from repro.trace.records import TraceBuilder
@@ -25,7 +25,7 @@ SCALE = 0.04
 # Clean runs: the scheduler holds its own invariants.
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("letter", CONFIG_LETTERS)
+@pytest.mark.parametrize("letter", config_letters())
 def test_paper_configs_pass_sanitized(letter):
     trace = cached_trace("eqntott", SCALE)
     result = simulate_trace(trace, paper_config(letter, 8),

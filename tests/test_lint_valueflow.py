@@ -184,7 +184,7 @@ def test_cross_check_detects_broken_relock_floor():
                      if s.cls == CLASS_INVARIANT)
     stat = result.per_pc[invariant.pc]
     stat.correct = 0
-    stat.stride_changes = 0
+    stat.delta_changes = 0
     check = valueflow_cross_check(ana, trace, result=result)
     assert not check.ok
     assert any("re-lock bound" in v for v in check.violations)
@@ -197,7 +197,7 @@ def test_cross_check_detects_unstable_invariant():
     result = run_value_predictor(trace, predictor="stride", per_pc=True)
     invariant = next(s for s in ana.load_sites
                      if s.cls == CLASS_INVARIANT)
-    result.per_pc[invariant.pc].stride_changes = 1000
+    result.per_pc[invariant.pc].delta_changes = 1000
     check = valueflow_cross_check(ana, trace, result=result)
     assert not check.ok
     assert any("changed stride" in v for v in check.violations)
@@ -211,7 +211,7 @@ def test_cross_check_detects_coverage_breach():
     result.attempted = {pos: True for pos in result.attempted}
     for stat in result.per_pc.values():
         stat.correct = stat.count       # keep the per-PC half quiet
-        stat.stride_changes = 0
+        stat.delta_changes = 0
     check = valueflow_cross_check(ana, trace, result=result)
     assert not check.ok
     assert any("coverage bound" in v for v in check.violations)

@@ -99,10 +99,10 @@ def test_speculated_load_still_respects_memory_dependence():
 
 
 def test_load_categories_partition_all_loads():
-    from repro.core import config_d, simulate_trace
+    from repro.core import paper_config, simulate_trace
     from repro.trace.synth import random_trace
     trace = random_trace(500, seed=8)
-    result = simulate_trace(trace, config_d(8))
+    result = simulate_trace(trace, paper_config("D", 8))
     loads = sum(1 for s in trace.sidx if trace.static.cls[s] == 4)
     assert result.loads.total == loads
     fractions = result.loads.fractions()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.collapse import CollapseRules
-from repro.core import config_a, config_c, config_e, simulate_many
+from repro.core import paper_config, simulate_many
 from repro.trace.synth import random_trace
 
 PAPER = CollapseRules.paper()
@@ -95,7 +95,7 @@ def test_config_e_at_least_as_fast_as_a(params):
     """Same greedy-scheduling caveat as collapsing: tiny regressions are
     possible, large ones are a bug."""
     trace = make_trace(params)
-    a, e = simulate_many(trace, [config_a(8), config_e(8)])
+    a, e = simulate_many(trace, [paper_config("A", 8), paper_config("E", 8)])
     slack = max(2, a.cycles // 50)
     assert e.cycles <= a.cycles + slack
 
@@ -119,9 +119,9 @@ def test_collapse_accounting_consistent(params):
 @settings(max_examples=25, deadline=None)
 @given(trace_params)
 def test_load_categories_complete(params):
-    from repro.core import config_d, simulate_trace
+    from repro.core import simulate_trace
     trace = make_trace(params)
-    result = simulate_trace(trace, config_d(4))
+    result = simulate_trace(trace, paper_config("D", 4))
     loads = sum(1 for s in trace.sidx if trace.static.cls[s] == 4)
     assert result.loads.total == loads
 

@@ -91,8 +91,8 @@ def test_collapsed_schedule_respects_memory_and_data_edges():
 
 def test_speculated_load_respects_memory_edges_only():
     trace = cached_trace("ijpeg", 0.05)
-    from repro.core import config_d, simulate_trace
-    result = simulate_trace(trace, config_d(8))
+    from repro.core import paper_config, simulate_trace
+    result = simulate_trace(trace, paper_config("D", 8))
     issue = result.issue_cycles
     graph = DependenceGraph(trace)
     cls = trace.static.cls

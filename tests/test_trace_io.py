@@ -27,13 +27,13 @@ def test_round_trip_preserves_everything(tmp_path):
 
 
 def test_round_trip_simulates_identically(tmp_path):
-    from repro.core import config_d, simulate_trace
+    from repro.core import paper_config, simulate_trace
     trace = strided_load_loop(100)
     path = tmp_path / "t.bin"
     save_trace(trace, path)
     loaded = load_trace(path)
-    a = simulate_trace(trace, config_d(8))
-    b = simulate_trace(loaded, config_d(8))
+    a = simulate_trace(trace, paper_config("D", 8))
+    b = simulate_trace(loaded, paper_config("D", 8))
     assert a.cycles == b.cycles
     assert a.loads.counts == b.loads.counts
 

@@ -62,10 +62,10 @@ def test_concat_requires_shared_static():
 
 
 def test_slices_simulate():
-    from repro.core import config_d, simulate_trace
+    from repro.core import paper_config, simulate_trace
     trace = strided_load_loop(200)
     piece = trace_slice(trace, 50, 150)
-    result = simulate_trace(piece, config_d(8))
+    result = simulate_trace(piece, paper_config("D", 8))
     assert result.instructions == 100
 
 

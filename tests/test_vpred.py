@@ -90,8 +90,8 @@ def slow_load_consumer_trace():
 
 
 def vsim(trace, attempted, correct):
-    from repro.vpred.runner import ValuePredictionResult
-    prediction = ValuePredictionResult()
+    from repro.addrpred.runner import LoadPredictionResult
+    prediction = LoadPredictionResult()
     prediction.attempted = attempted
     prediction.correct = correct
     config = MachineConfig(4, value_spec=True)
@@ -154,8 +154,8 @@ def test_value_spec_never_slows():
 # --------------------------------------------------- predictor family
 
 def test_stride_table_locks_onto_sequence():
-    from repro.vpred import StrideValueTable
-    table = StrideValueTable()
+    from repro.addrpred import TwoDeltaTable
+    table = TwoDeltaTable()
     outcomes = [table.observe(0x200, 100 + 8 * i) for i in range(8)]
     # Two-delta warmup: seed value, see the stride twice, then perfect.
     assert [correct for _, correct, _ in outcomes[3:]] == [True] * 5
@@ -164,17 +164,17 @@ def test_stride_table_locks_onto_sequence():
 
 
 def test_stride_wraps_32_bits():
-    from repro.vpred import StrideValueTable
-    table = StrideValueTable()
+    from repro.addrpred import TwoDeltaTable
+    table = TwoDeltaTable()
     values = [(0xFFFFFFF0 + 8 * i) & 0xFFFFFFFF for i in range(8)]
     outcomes = [table.observe(0x200, v) for v in values]
     assert all(correct for _, correct, _ in outcomes[3:])
 
 
 def test_fcm_learns_alternation_stride_cannot():
-    from repro.vpred import FCMValueTable, StrideValueTable
-    fcm = FCMValueTable()
-    stride = StrideValueTable()
+    from repro.addrpred import MarkovTable, TwoDeltaTable
+    fcm = MarkovTable()
+    stride = TwoDeltaTable()
     pattern = [7, 13] * 12
     fcm_hits = sum(fcm.observe(0x300, v)[1] for v in pattern)
     stride_hits = sum(stride.observe(0x300, v)[1] for v in pattern)
@@ -185,8 +185,8 @@ def test_fcm_learns_alternation_stride_cannot():
 
 
 def test_hybrid_chooser_picks_fcm_on_alternation():
-    from repro.vpred import HybridValueTable
-    hybrid = HybridValueTable()
+    from repro.addrpred import HybridTable
+    hybrid = HybridTable()
     outcomes = [hybrid.observe(0x400, v) for v in [7, 13] * 12]
     # Once the chooser trains toward FCM the stream predicts confidently.
     assert outcomes[-1][:2] == (True, True)
@@ -204,16 +204,16 @@ def test_runner_per_pc_counts_stride_changes():
     stat = next(iter(result.per_pc.values()))   # one static load
     assert stat.count == len(values)
     # One warmup change (0 -> stride 4) plus the 4 -> 1000 -> 7 break.
-    assert 1 <= stat.stride_changes <= 4
-    assert stat.correct >= stat.count - 3 - 2 * stat.stride_changes
+    assert 1 <= stat.delta_changes <= 4
+    assert stat.correct >= stat.count - 3 - 2 * stat.delta_changes
 
 
 # --------------------------------------------- config I: squash/replay
 
 def rsim(trace, attempted, correct, width=4):
     from repro.core.config import VALUE_SPEC_REPLAY
-    from repro.vpred.runner import ValuePredictionResult
-    prediction = ValuePredictionResult()
+    from repro.addrpred.runner import LoadPredictionResult
+    prediction = LoadPredictionResult()
     prediction.attempted = attempted
     prediction.correct = correct
     config = MachineConfig(width, value_spec=VALUE_SPEC_REPLAY)
