@@ -18,43 +18,13 @@ Counts the scheduler's exit-branch resolution events against the static
 exactly once against a prior instance of the plan's governing load.
 """
 
+from ..counters import CounterRecord
 
-class BranchSpecStats:
+
+class BranchSpecStats(CounterRecord):
     """Load-driven exit-branch behaviour of one simulated run."""
 
     __slots__ = ("exit_branches", "early_resolved", "missed")
-
-    def __init__(self):
-        self.exit_branches = 0
-        self.early_resolved = 0
-        self.missed = 0
-
-    def merge(self, other):
-        self.exit_branches += other.exit_branches
-        self.early_resolved += other.early_resolved
-        self.missed += other.missed
-        return self
-
-    def to_payload(self):
-        """JSON-safe dict for the disk-cache codec (see repro.cache)."""
-        return {
-            "exit_branches": self.exit_branches,
-            "early_resolved": self.early_resolved,
-            "missed": self.missed,
-        }
-
-    @classmethod
-    def from_payload(cls, payload):
-        stats = cls()
-        stats.exit_branches = int(payload.get("exit_branches", 0))
-        stats.early_resolved = int(payload.get("early_resolved", 0))
-        stats.missed = int(payload.get("missed", 0))
-        return stats
-
-    def __repr__(self):
-        return ("BranchSpecStats(exit_branches=%d, early_resolved=%d, "
-                "missed=%d)"
-                % (self.exit_branches, self.early_resolved, self.missed))
 
 
 __all__ = ["BranchSpecStats"]

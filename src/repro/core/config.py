@@ -51,11 +51,11 @@ MEM_SPEC_MDPT = "mdpt"
 
 _MEM_SPECS = (MEM_SPEC_PERFECT, MEM_SPEC_MDPT)
 
-#: Value-speculation modes.  ``False`` disables; ``True`` is the legacy
-#: free-bypass extension (correct predictions drop the arc, wrong ones
-#: wait — no misprediction cost); ``VALUE_SPEC_REPLAY`` is config I's
-#: realistic mode: consumers issue on a confident prediction and a
-#: wrong one squashes and replays them after the load verifies.
+#: Value-speculation modes.  ``False`` disables; ``VALUE_SPEC_REPLAY``
+#: is config I's realistic mode: consumers issue on a confident
+#: prediction and a wrong one squashes and replays them after the load
+#: verifies; ``True`` is the oracle extension, the same mode fed only
+#: the correct predictions (wrong ones wait — no misprediction cost).
 VALUE_SPEC_REPLAY = "replay"
 
 _VALUE_SPECS = (False, True, VALUE_SPEC_REPLAY)
@@ -97,11 +97,11 @@ class MachineConfig:
             raise ConfigError(
                 "unknown value_spec %r (allowed: False, True, %r)"
                 % (value_spec, VALUE_SPEC_REPLAY))
-        if value_spec == VALUE_SPEC_REPLAY and mem_spec != MEM_SPEC_PERFECT:
+        if value_spec and mem_spec != MEM_SPEC_PERFECT:
             raise ConfigError(
                 "value_spec=%r requires perfect memory disambiguation: "
                 "MDPT replay and value-speculation replay would race on "
-                "the same recovery bookkeeping" % (VALUE_SPEC_REPLAY,))
+                "the same recovery bookkeeping" % (value_spec,))
         if node_elimination and collapse_rules is None:
             raise ConfigError(
                 "node elimination is a collapsing extension: it needs "

@@ -15,76 +15,40 @@ lint dependencies) lets the scheduler and result codec import it
 directly.
 """
 
+from ..counters import CounterRecord
 
-class DAELoopStats:
-    """Per-loop (keyed by header instruction index) DAE counters."""
+
+class DAELoopStats(CounterRecord):
+    """Per-loop (keyed by header instruction index) DAE counters:
+    ``runs`` (maximal body-instruction stretches observed), ``enqueued``
+    (boundary-load values pushed into the FIFO queue), ``popped``
+    (entries consumed by the execute slice or reclaimed at architectural
+    overwrite), ``peak`` (queue occupancy, merged by maximum),
+    ``full_stalls`` (bypasses denied by a full queue), ``chase_deps``
+    (arcs from an in-run body load into an access-slice consumer: zero
+    for statically-clean loops, the cross-check) and ``chase_stalls``
+    (chase arcs whose producer had not completed at consumer entry).
+    """
 
     __slots__ = ("runs", "enqueued", "popped", "peak", "full_stalls",
                  "chase_deps", "chase_stalls")
+    MAXIMA = ("peak",)
+
+
+class DAEStats(CounterRecord):
+    """All DAE accounting of one simulation (``SimResult.dae``):
+    ``bypassed`` (instructions admitted through the access window),
+    ``degraded`` (bypass-eligible instructions that fell back to the
+    main window because the access window was full) and ``loops``
+    (header instruction index -> :class:`DAELoopStats`).
+    """
+
+    __slots__ = ("bypassed", "degraded", "loops")
+    EXTRA = ("loops",)
 
     def __init__(self):
-        #: dynamic runs (maximal body-instruction stretches) observed
-        self.runs = 0
-        #: boundary-load values pushed into the loop's FIFO queue
-        self.enqueued = 0
-        #: queue entries retired (consumed by the execute slice or
-        #: reclaimed at architectural overwrite)
-        self.popped = 0
-        #: peak queue occupancy over the run
-        self.peak = 0
-        #: bypass attempts denied because the queue was at capacity
-        self.full_stalls = 0
-        #: dependence arcs from an in-run body load into an access-slice
-        #: consumer (zero for statically-clean loops — the cross-check)
-        self.chase_deps = 0
-        #: chase arcs whose producer had not completed at consumer entry
-        self.chase_stalls = 0
-
-    def merge(self, other):
-        self.runs += other.runs
-        self.enqueued += other.enqueued
-        self.popped += other.popped
-        if other.peak > self.peak:
-            self.peak = other.peak
-        self.full_stalls += other.full_stalls
-        self.chase_deps += other.chase_deps
-        self.chase_stalls += other.chase_stalls
-        return self
-
-    def to_payload(self):
-        return {"runs": self.runs, "enqueued": self.enqueued,
-                "popped": self.popped, "peak": self.peak,
-                "full_stalls": self.full_stalls,
-                "chase_deps": self.chase_deps,
-                "chase_stalls": self.chase_stalls}
-
-    @classmethod
-    def from_payload(cls, payload):
-        stats = cls()
-        for field in cls.__slots__:
-            setattr(stats, field, int(payload.get(field, 0)))
-        return stats
-
-    def __repr__(self):
-        return ("<DAELoopStats enq=%d pop=%d peak=%d full=%d chase=%d>"
-                % (self.enqueued, self.popped, self.peak,
-                   self.full_stalls, self.chase_deps))
-
-
-class DAEStats:
-    """All DAE accounting of one simulation (``SimResult.dae``)."""
-
-    __slots__ = ("loops", "bypassed", "degraded")
-
-    def __init__(self):
-        #: loop header instruction index -> DAELoopStats
+        super().__init__()
         self.loops = {}
-        #: instructions admitted through the access window (bypassing a
-        #: full main window)
-        self.bypassed = 0
-        #: bypass-eligible instructions that fell back to the main
-        #: window because the access window itself was full
-        self.degraded = 0
 
     def loop(self, header):
         stats = self.loops.get(header)
@@ -115,30 +79,24 @@ class DAEStats:
         return sum(s.chase_deps for s in self.loops.values())
 
     def merge(self, other):
-        self.bypassed += other.bypassed
-        self.degraded += other.degraded
+        super().merge(other)
         for header, stats in other.loops.items():
             self.loop(header).merge(stats)
         return self
 
     def to_payload(self):
-        return {"bypassed": self.bypassed, "degraded": self.degraded,
-                "loops": {str(header): stats.to_payload()
-                          for header, stats in sorted(self.loops.items())}}
+        payload = super().to_payload()
+        payload["loops"] = {str(header): stats.to_payload()
+                            for header, stats in sorted(self.loops.items())}
+        return payload
 
     @classmethod
     def from_payload(cls, payload):
-        stats = cls()
-        stats.bypassed = int(payload.get("bypassed", 0))
-        stats.degraded = int(payload.get("degraded", 0))
+        stats = super().from_payload(payload)
         for header, loop_payload in (payload.get("loops") or {}).items():
             stats.loops[int(header)] = \
                 DAELoopStats.from_payload(loop_payload)
         return stats
-
-    def __repr__(self):
-        return ("<DAEStats %d loops, %d bypassed, %d enqueued>"
-                % (len(self.loops), self.bypassed, self.enqueued))
 
 
 __all__ = ["DAELoopStats", "DAEStats"]

@@ -1,5 +1,10 @@
 """Result records produced by the timing simulator."""
 
+from ..memdep.stats import MemDepStats
+from .branchspecstats import BranchSpecStats
+from .daestats import DAEStats
+from .vspecstats import ValueSpecStats
+
 #: Load categories (Section 3 / Tables 3-4).
 LOAD_READY = "ready"
 LOAD_PRED_CORRECT = "predicted_correctly"
@@ -48,6 +53,13 @@ class LoadStats:
         return stats
 
 
+#: ``SimResult`` fields holding one mechanism's stats record (None when
+#: the run did not model the mechanism), with the record class.
+MECHANISM_STATS = (("memdep", MemDepStats), ("dae", DAEStats),
+                   ("value_spec", ValueSpecStats),
+                   ("branch_spec", BranchSpecStats))
+
+
 class SimResult:
     """Outcome of simulating one trace on one machine configuration."""
 
@@ -81,8 +93,8 @@ class SimResult:
         #: DAEStats when the run decoupled access/execute streams
         #: (``config.dae`` with a DAEPlan); None otherwise
         self.dae = dae
-        #: ValueSpecStats when the run used squash/replay value
-        #: speculation (config I); None otherwise
+        #: ValueSpecStats when the run used value speculation (configs
+        #: I, J or the oracle ``value_spec=True``); None otherwise
         self.value_spec = value_spec
         #: BranchSpecStats when the run resolved load-driven exit
         #: branches early (config J with a BranchPlan); None otherwise
@@ -112,7 +124,7 @@ class SimResult:
         drops is ``collapse.collapsed_positions`` membership, which is
         folded into a count exactly like :meth:`CollapseStats.merge`.
         """
-        return {
+        payload = {
             "config_name": self.config_name,
             "issue_width": self.issue_width,
             "window_size": self.window_size,
@@ -127,15 +139,12 @@ class SimResult:
             "issue_cycles": (list(self.issue_cycles)
                              if self.issue_cycles is not None else None),
             "eliminated_positions": sorted(self.eliminated_positions),
-            "memdep": (self.memdep.to_payload()
-                       if self.memdep is not None else None),
-            "dae": (self.dae.to_payload()
-                    if self.dae is not None else None),
-            "value_spec": (self.value_spec.to_payload()
-                           if self.value_spec is not None else None),
-            "branch_spec": (self.branch_spec.to_payload()
-                            if self.branch_spec is not None else None),
         }
+        for field, _record in MECHANISM_STATS:
+            stats = getattr(self, field)
+            payload[field] = stats.to_payload() if stats is not None \
+                else None
+        return payload
 
     @classmethod
     def from_payload(cls, payload):
@@ -162,30 +171,10 @@ class SimResult:
                                if issue_cycles is not None else None)
         result.eliminated_positions = frozenset(
             payload.get("eliminated_positions") or ())
-        memdep = payload.get("memdep")
-        if memdep is not None:
-            from ..memdep.stats import MemDepStats
-            result.memdep = MemDepStats.from_payload(memdep)
-        else:
-            result.memdep = None
-        dae = payload.get("dae")
-        if dae is not None:
-            from .daestats import DAEStats
-            result.dae = DAEStats.from_payload(dae)
-        else:
-            result.dae = None
-        value_spec = payload.get("value_spec")
-        if value_spec is not None:
-            from .vspecstats import ValueSpecStats
-            result.value_spec = ValueSpecStats.from_payload(value_spec)
-        else:
-            result.value_spec = None
-        branch_spec = payload.get("branch_spec")
-        if branch_spec is not None:
-            from .branchspecstats import BranchSpecStats
-            result.branch_spec = BranchSpecStats.from_payload(branch_spec)
-        else:
-            result.branch_spec = None
+        for field, record in MECHANISM_STATS:
+            stats = payload.get(field)
+            setattr(result, field, record.from_payload(stats)
+                    if stats is not None else None)
         return result
 
     def __repr__(self):

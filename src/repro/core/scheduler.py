@@ -26,46 +26,14 @@ Semantics (paper Section 4):
   :class:`~repro.collapse.rules.CollapseRules`); the consumer then inherits
   the producer's own unresolved sources instead of waiting for the
   producer.
-- Realistic disambiguation (``mem_spec == "mdpt"``, configs F/G): the
-  load/store memory arc is dropped — loads issue speculatively past
-  unresolved stores.  A load that issues before its producing store
-  completes is a *certain* violation once the store executes: the load
-  and its issued forward slice are squashed and replayed after a flush
-  penalty, the MDPT (``repro.memdep``) learns the (load PC, store PC)
-  pair, and promoted load PCs synchronize with the youngest matching
-  in-flight store (MDST) at window entry instead of speculating.
-- Result-value speculation with recovery (``value_spec == "replay"``,
-  configuration I): a consumer of a load whose value prediction is
-  *confident* drops the dependence arc — for free when the prediction
-  is correct (the legacy ``value_spec=True`` behaviour), speculatively
-  when it is wrong: the consumer may issue on the bad value, and when
-  the load completes (verification) every such consumer is squashed
-  and replayed with the architectural value after the flush penalty.
-  A speculatively-issued consumer withholds its completion from its
-  own consumers until the replay, so bad values never propagate
-  un-squashably; a wrong-predicted load that already completed merely
-  re-imposes the arc (the consumer waits — no squash).
-- Load-driven exit-branch prediction (``config.branch_spec``,
-  configuration J): given a static
-  :class:`~repro.lint.branchflow.BranchPlan`, a *mispredicted* plan
-  exit branch whose governing load's most recent dynamic instance was
-  confidently and correctly value-predicted resolves at the load's
-  address-generation time — the predicted value determines the branch
-  direction before fetch reaches the branch, so the fetch fence is
-  waived (Sridhar et al.'s LDBP, PAPERS.md).  An unpredicted or
-  wrongly-predicted governing load leaves the fence in place.
-- Decoupled access/execute (``config.dae``, configuration H): given a
-  static :class:`~repro.lint.dae.DAEPlan`, members of a clean loop's
-  access slice may enter a second *access window* (same capacity) when
-  the main window is full, letting address computation and loads run
-  ahead; each boundary load pushes its value into a per-loop bounded
-  FIFO queue, popped when its first execute-side consumer issues (or
-  reclaimed when the value is architecturally dead).  A boundary load
-  that finds its queue full stays coupled (enters the main window,
-  counted as a ``full_stall``).  Dependence timing is unchanged — the
-  queues and the access window only relax *window occupancy*, which is
-  what decoupling buys: the paper's limit machine never starves loads
-  behind a full window, a DAE machine need not either.
+- Node elimination (Figure 1.f extension): a collapsed producer whose
+  sole reader is the consumer never executes.
+
+:meth:`WindowScheduler.run` is that machine.  The mechanisms of configs
+F-J and the oracle value mode are components (``repro.core.components``)
+built once from the configuration and called only where they have work;
+A-E build none.  MDPT violations and value mispredictions share one
+squash/replay engine.
 
 The engine is event-driven: idle stretches are skipped by jumping to the
 next dependence-resolution event, which keeps the 2048-wide/4096-window
@@ -73,17 +41,13 @@ configuration tractable in pure Python.
 """
 
 import heapq
+from types import SimpleNamespace
 
 from ..collapse.classify import Group
 from ..collapse.stats import CollapseStats
 from ..trace.records import BRC, CTI, LD, ST
-from .config import (
-    LOAD_SPEC_IDEAL,
-    LOAD_SPEC_NONE,
-    LOAD_SPEC_REAL,
-    MEM_SPEC_MDPT,
-    VALUE_SPEC_REPLAY,
-)
+from .components import _KIND_ADDR, _KIND_OTHER, build_components, hook
+from .config import LOAD_SPEC_IDEAL, LOAD_SPEC_REAL
 from .elimination import compute_sole_readers
 from .results import (
     LOAD_NOT_PREDICTED,
@@ -93,9 +57,6 @@ from .results import (
     LoadStats,
     SimResult,
 )
-
-_KIND_ADDR = 0
-_KIND_OTHER = 1
 
 
 class WindowScheduler:
@@ -172,12 +133,11 @@ class WindowScheduler:
         zeros_col = static.zeros
         producer_ok_col = static.producer_ok
         consumer_ok_col = static.consumer_ok
-        pc_col = static.pc
 
         mispredicted = self.branch_result.mispredicted if self.branch_result \
             else {}
-        load_spec = config.load_spec
-        if load_spec == LOAD_SPEC_REAL:
+        ideal_addresses = config.load_spec == LOAD_SPEC_IDEAL
+        if config.load_spec == LOAD_SPEC_REAL:
             lp_attempted = self.load_prediction.attempted
             lp_correct = self.load_prediction.correct
         else:
@@ -192,83 +152,8 @@ class WindowScheduler:
         track_blocks = collapsing and not rules.allow_cross_block
         collapse_stats = CollapseStats()
         load_stats = LoadStats()
-
-        mem_realistic = config.mem_spec == MEM_SPEC_MDPT
-        if mem_realistic:
-            from ..memdep import FLUSH_PENALTY, MDPT, MemDepStats
-            from ..memdep.mdpt import DEFAULT_ENTRIES, DEFAULT_STORE_SET
-            mdpt = MDPT(entries=config.mdpt_entries or DEFAULT_ENTRIES,
-                        store_set_size=config.mdpt_store_set
-                        or DEFAULT_STORE_SET)
-            memdep_stats = MemDepStats()
-            true_store = {}        # load pos -> producing store pos (or -1)
-            store_watch = {}       # store pos -> load positions to verify
-            inflight_stores = {}   # store pc -> entered, uncompleted stores
-            dep_record = {}        # pos -> timing-producer positions
-            taint = {}             # pos -> pending-violation loads upstream
-            slice_of = {}          # violating load -> issued tainted posns
-            pending_violation = set()
-            violation_heap = []    # (store completion cycle, load pos)
-            replaying = set()      # squashed, awaiting re-issue
-        else:
-            memdep_stats = None
-
-        node_elim = collapsing and config.node_elimination
-        sole_reader = compute_sole_readers(trace) if node_elim else None
-        eliminated = set()
-
-        dae_plan = self.dae_plan
-        dae_mode = config.dae and dae_plan is not None
-        if dae_mode:
-            from collections import deque
-            from .daestats import DAEStats
-            dae_stats = DAEStats()
-            dae_access = dae_plan.access_of
-            dae_boundary = dae_plan.boundary_of
-            dae_body = dae_plan.body_of
-            dae_chase = dae_plan.chase_of
-            dae_body_loads = dae_plan.body_loads
-            dae_capacity = dae_plan.capacity
-            queues = {h: deque() for h in dae_plan.clean}
-            queue_of = {}       # live queue entry (load pos) -> header
-            delivered = set()   # entries consumed, awaiting FIFO drain
-            popper = {}         # entry pos -> execute consumer that pops
-            pop_on_issue = {}   # consumer pos -> [entry positions]
-            bypassed = set()    # positions occupying the access window
-            access_count = 0
-            run_loop = -1       # header of the current dynamic loop run
-            run_start = -1      # first position of the current run
-        else:
-            dae_stats = None
-
-        value_spec = config.value_spec
-        value_replay = value_spec == VALUE_SPEC_REPLAY
-        if value_spec:
-            vp_attempted = self.value_prediction.attempted
-            vp_correct = self.value_prediction.correct
-        else:
-            vp_attempted = vp_correct = None
-        branch_plan = self.branch_plan
-        bspec_mode = branch_plan is not None
-        if bspec_mode:
-            from .branchspecstats import BranchSpecStats
-            bspec_stats = BranchSpecStats()
-            bspec_resolves = branch_plan.resolves
-            bspec_loads = set(bspec_resolves.values())
-            last_load_pos = {}   # governing-load sidx -> latest position
-        else:
-            bspec_stats = None
-
-        if value_replay:
-            from ..memdep import FLUSH_PENALTY
-            from .vspecstats import ValueSpecStats
-            vspec_stats = ValueSpecStats()
-            vspec_wrong = {}     # consumer -> wrong-predicted load producers
-            value_watch = {}     # load -> [(consumer, kind)] riding on it
-            value_replaying = set()  # squashed, awaiting replay issue
-            vspec_heap = []      # (load completion cycle, load pos)
-        else:
-            vspec_stats = None
+        sole_reader = compute_sole_readers(trace) \
+            if collapsing and config.node_elimination else None
 
         width = config.issue_width
         window_limit = config.window_size
@@ -288,12 +173,33 @@ class WindowScheduler:
         groups = {} if collapsing else None
         # pos -> dynamic basic-block id, within-block collapsing only
         block_of = {} if track_blocks else None
+        eliminated = set()
 
         reg_writer = [-1] * 33  # 32 registers + condition codes (index 32)
         mem_writer = {}         # word address -> last store position
 
         ready_heap = []         # positions ready to issue now
         future_heap = []        # (cycle value becomes available, position)
+
+        # The speculation components this config enables (none for
+        # A-E), on the state they share: they read it, and the recovery
+        # engine rewinds it on a squash.  Each hook is the method of
+        # the one component defining it, or None.
+        parts, recovery = build_components(self, SimpleNamespace(
+            issue_cycle=issue_cycle, completion=completion,
+            pend_addr=pend_addr, pend_other=pend_other,
+            bound_addr=bound_addr, bound_other=bound_other,
+            consumers=consumers, future_heap=future_heap,
+            eliminated=eliminated, reg_writer=reg_writer))
+        admit = hook(parts, "admit")
+        memory_arc = hook(parts, "memory_arc")
+        triage = hook(parts, "triage")
+        entered = hook(parts, "entered")
+        waives = hook(parts, "waives")
+        issued_hook = hook(parts, "issued")
+        keeps = hook(parts, "keeps")
+        slotless = hook(parts, "slotless", ())
+        events = recovery.events if recovery is not None else ()
 
         fetched = 0
         window_count = 0
@@ -308,73 +214,9 @@ class WindowScheduler:
         heappop = heapq.heappop
 
         # --------------------------------------------------------------
-        # Realistic-disambiguation helpers (mdpt mode only).
-
-        def _taint_from(dst, src):
-            t = taint.get(src)
-            if t:
-                cur = taint.get(dst)
-                if cur is None:
-                    taint[dst] = set(t)
-                else:
-                    cur |= t
-
-        def _youngest_inflight(store_pcs, now):
-            """Youngest entered, not-yet-completed store among the given
-            store PCs (MDST synchronization target), or -1."""
-            best = -1
-            for spc in store_pcs:
-                plist = inflight_stores.get(spc)
-                if not plist:
-                    continue
-                keep = [sp for sp in plist
-                        if issue_cycle[sp] < 0 or completion[sp] > now]
-                if keep:
-                    inflight_stores[spc] = keep
-                    if keep[-1] > best:
-                        best = keep[-1]
-                else:
-                    del inflight_stores[spc]
-            return best
-
-        # --------------------------------------------------------------
-        # Decoupled access/execute helpers (dae mode only).
-
-        def _dae_enqueue(h, i, now):
-            queues[h].append(i)
-            queue_of[i] = h
-            stats = dae_stats.loop(h)
-            stats.enqueued += 1
-            depth = len(queues[h])
-            if depth > stats.peak:
-                stats.peak = depth
-            if san is not None:
-                san.on_dae_enqueue(h, i, now)
-
-        def _dae_deliver(p, consumer, now):
-            """Mark queue entry ``p`` consumed (``consumer`` issued) or
-            dead (``consumer == -1``) and drain delivered entries from
-            the queue head, preserving FIFO order."""
-            h = queue_of.get(p)
-            if h is None or p in delivered:
-                return
-            delivered.add(p)
-            if san is not None:
-                san.on_dae_deliver(p, consumer, now)
-            queue = queues[h]
-            stats = dae_stats.loop(h)
-            while queue and queue[0] in delivered:
-                head = queue.popleft()
-                delivered.discard(head)
-                del queue_of[head]
-                stats.popped += 1
-                if san is not None:
-                    san.on_dae_pop(h, head, now)
-
-        # --------------------------------------------------------------
         def enter(i, now):
             nonlocal block_fetch, block_counter, fence_pos, issued, \
-                window_count, access_count, run_loop, run_start
+                window_count
             if san is not None:
                 san.on_enter(i, now)
             s = sidx[i]
@@ -410,115 +252,30 @@ class WindowScheduler:
                     arcs.append((p, _KIND_OTHER, consumer_ok_col[s], 1))
             if cls == LD:
                 p = mem_writer.get(eff_addr[i] >> 2, -1)
-                if not mem_realistic:
-                    if p >= 0:
-                        arcs.append((p, _KIND_OTHER, False, 1))
-                else:
-                    # The perfect memory arc is dropped: the load issues
-                    # speculatively.  A promoted MDPT entry instead
-                    # synchronizes the load with the youngest in-flight
-                    # store of its predicted set.
-                    memdep_stats.loads += 1
-                    true_store[i] = p
-                    if p >= 0:
-                        memdep_stats.dependent += 1
-                        store_watch.setdefault(p, []).append(i)
-                    predicted = mdpt.store_set(pc_col[s])
-                    if predicted:
-                        sync = _youngest_inflight(predicted, now)
-                        if sync >= 0:
-                            arcs.append((sync, _KIND_OTHER, False, 1))
-                            memdep_stats.synchronized += 1
-                            if sync != p:
-                                memdep_stats.false_syncs += 1
-                            if san is not None:
-                                san.on_mem_sync(i, sync)
-
-            # ---- DAE run tracking and chase accounting: a dynamic
-            # *run* is a maximal stretch of one loop's body members;
-            # an arc from a load of the same loop, produced within the
-            # run, into an access-slice member is a chase dependence —
-            # statically-clean loops must never record one.
-            if dae_mode:
-                header = dae_body.get(s, -1)
-                if header != run_loop:
-                    run_loop = header
-                    run_start = i
-                    if header >= 0:
-                        dae_stats.loop(header).runs += 1
-                if run_loop >= 0 and dae_chase.get(s, -1) == run_loop:
-                    watched = dae_body_loads[run_loop]
-                    stats = dae_stats.loop(run_loop)
-                    for p, _kind, _coll, _uses in arcs:
-                        if p >= run_start and sidx[p] in watched:
-                            stats.chase_deps += 1
-                            if issue_cycle[p] < 0 or completion[p] > now:
-                                stats.chase_stalls += 1
-                for p, _kind, _coll, _uses in arcs:
-                    if p in queue_of and p not in delivered \
-                            and p not in popper:
-                        popper[p] = i
-                        pop_on_issue.setdefault(i, []).append(p)
+                if memory_arc is not None:
+                    p = memory_arc(i, s, p, now)
+                if p >= 0:
+                    arcs.append((p, _KIND_OTHER, False, 1))
 
             b_addr = 0
             b_other = 0
             pending = []        # (producer, kind) arcs kept as dependences
-            resolved_rec = [] if mem_realistic else None
-            elim_candidates = [] if node_elim else None
+            if triage is not None:
+                arcs = triage(i, arcs, pending, now)
+            merged = None       # (producer, kind) arcs collapsed into i
             group = Group(i, sig_col[s], leaves_col[s], zeros_col[s]) \
                 if collapsing else None
 
             for p, kind, arc_collapsible, uses in arcs:
-                if value_spec and cls_col[sidx[p]] == LD \
-                        and vp_attempted.get(p, False):
-                    if vp_correct.get(p, False):
-                        # Value speculation (Figure 1.d extension): the
-                        # consumer uses the predicted load value and does
-                        # not wait for the load at all.  The load itself
-                        # still executes to verify the prediction.
-                        if value_replay:
-                            vspec_stats.bypassed += 1
-                        if san is not None:
-                            san.on_value_bypass(i, p, kind)
-                        continue
-                    if value_replay:
-                        if issue_cycle[p] >= 0 and completion[p] <= now \
-                                and not vspec_wrong.get(p):
-                            # The load already completed and verified:
-                            # the misprediction was caught before this
-                            # consumer existed, so it reads the
-                            # architectural value like any resolved arc.
-                            vspec_stats.late += 1
-                        else:
-                            # Wrong confident prediction: drop the arc
-                            # anyway and ride the bad value.  The load's
-                            # verification squashes and replays every
-                            # consumer registered on the watch list.
-                            vspec_stats.speculated += 1
-                            vspec_wrong.setdefault(i, set()).add(p)
-                            value_watch.setdefault(p, []).append((i, kind))
-                            if issue_cycle[p] >= 0 \
-                                    and not vspec_wrong.get(p):
-                                heappush(vspec_heap, (completion[p], p))
-                            if san is not None:
-                                san.on_value_speculate(i, p, kind)
-                            continue
-                    # legacy value_spec=True: a wrong prediction simply
-                    # keeps the arc (the machine magically knows).
-                if issue_cycle[p] >= 0 \
-                        and not (value_replay and vspec_wrong.get(p)):
+                if issue_cycle[p] >= 0:
                     comp = completion[p]
                     if kind == _KIND_ADDR:
                         if comp > b_addr:
                             b_addr = comp
                     elif comp > b_other:
                         b_other = comp
-                    if mem_realistic:
-                        resolved_rec.append((p, kind))
-                        _taint_from(i, p)
                     continue
                 # Producer still pending in the window.
-                merged = False
                 if collapsing and arc_collapsible and producer_ok_col[sidx[p]]:
                     distance = i - p
                     legal = True
@@ -530,12 +287,6 @@ class WindowScheduler:
                             legal = False
                     if legal and track_blocks \
                             and block_of.get(p) != block_counter:
-                        legal = False
-                    if legal and value_replay and vspec_wrong.get(p):
-                        # Never fold into a producer that is itself
-                        # riding a mispredicted value: the merged group
-                        # would inherit its optimistic bounds without
-                        # inheriting its squash obligation.
                         legal = False
                     if legal:
                         # (a squashed producer left the group table at
@@ -558,19 +309,15 @@ class WindowScheduler:
                                 b_other = pb
                             for q in pend_other.get(p, ()):
                                 pending.append((q, kind))
-                            merged = True
-                            if mem_realistic:
-                                for q in dep_record.get(p, ()):
-                                    resolved_rec.append((q, kind))
-                                _taint_from(i, p)
-                            if node_elim and sole_reader[p] == i:
-                                elim_candidates.append(p)
-                if not merged:
-                    pending.append((p, kind))
-                    if mem_realistic:
-                        _taint_from(i, p)
+                            if merged is None:
+                                merged = [(p, kind)]
+                            else:
+                                merged.append((p, kind))
+                            continue
+                pending.append((p, kind))
 
-            # ---- load classification / speculation
+            # ---- load classification / address speculation: a correct
+            # (or ideal) prediction drops the address-generation arcs.
             addr_dropped = False
             if cls == LD:
                 has_pending_addr = False
@@ -580,7 +327,9 @@ class WindowScheduler:
                         break
                 if not has_pending_addr and b_addr <= now:
                     load_stats.record(LOAD_READY)
-                elif load_spec == LOAD_SPEC_IDEAL:
+                elif ideal_addresses or (lp_attempted is not None
+                                         and lp_attempted.get(i, False)
+                                         and lp_correct.get(i, False)):
                     load_stats.record(LOAD_PRED_CORRECT)
                     pending = [arc for arc in pending
                                if arc[1] != _KIND_ADDR]
@@ -588,20 +337,8 @@ class WindowScheduler:
                     addr_dropped = True
                     if san is not None:
                         san.on_load_spec(i)
-                elif load_spec == LOAD_SPEC_REAL:
-                    if lp_attempted.get(i, False):
-                        if lp_correct.get(i, False):
-                            load_stats.record(LOAD_PRED_CORRECT)
-                            pending = [arc for arc in pending
-                                       if arc[1] != _KIND_ADDR]
-                            b_addr = 0
-                            addr_dropped = True
-                            if san is not None:
-                                san.on_load_spec(i)
-                        else:
-                            load_stats.record(LOAD_PRED_INCORRECT)
-                    else:
-                        load_stats.record(LOAD_NOT_PREDICTED)
+                elif lp_attempted is not None and lp_attempted.get(i, False):
+                    load_stats.record(LOAD_PRED_INCORRECT)
                 else:
                     load_stats.record(LOAD_NOT_PREDICTED)
 
@@ -610,9 +347,11 @@ class WindowScheduler:
             # It must have no remaining arc to this consumer (e.g. a
             # store that collapsed the address register but still needs
             # the same register as data) and no registered consumers.
-            if elim_candidates:
+            candidates = [p for p, _ in merged if sole_reader[p] == i] \
+                if merged is not None and sole_reader is not None else None
+            if candidates:
                 still_needed = {p for p, _ in pending}
-                for p in elim_candidates:
+                for p in candidates:
                     if p in eliminated or p in still_needed \
                             or consumers.get(p):
                         continue
@@ -630,29 +369,10 @@ class WindowScheduler:
                     if track_blocks:
                         block_of.pop(p, None)
                     issued += 1
-                    if dae_mode and p in bypassed:
-                        bypassed.discard(p)
-                        access_count -= 1
+                    if p in slotless:
+                        slotless.discard(p)
                     else:
                         window_count -= 1
-                    if dae_mode and p in queue_of and p not in delivered \
-                            and p not in popper:
-                        _dae_deliver(p, -1, now)
-
-            # ---- record the full timing-producer set (mdpt mode): a
-            # squash replays the instruction against these positions.
-            if mem_realistic:
-                rec = {p for p, _ in pending}
-                for p, kind in resolved_rec:
-                    if addr_dropped and kind == _KIND_ADDR:
-                        continue
-                    rec.add(p)
-                    # An issued producer can still be squashed while it
-                    # is tainted or awaiting a violation; keep a consumer
-                    # edge so this instruction re-blocks if that happens.
-                    if taint.get(p) or p in pending_violation:
-                        consumers.setdefault(p, []).append((i, kind))
-                dep_record[i] = tuple(rec)
 
             # ---- register remaining arcs; bounds are kept for every
             # unissued instruction because a later consumer may collapse
@@ -692,58 +412,28 @@ class WindowScheduler:
                 if track_blocks:
                     block_of[i] = block_counter
 
+            if entered is not None:
+                entered(i, s, cls, arcs, pending, merged, addr_dropped, now)
+
             # ---- architectural update (program order)
             dest = dest_col[s]
             if dest >= 0:
-                if dae_mode:
-                    old = reg_writer[dest]
-                    # Overwritten before any execute-side consumer read
-                    # it: the queued value is dead — reclaim its slot.
-                    if old >= 0 and old in queue_of \
-                            and old not in delivered and old not in popper:
-                        _dae_deliver(old, -1, now)
                 reg_writer[dest] = i
             if writes_cc_col[s]:
                 reg_writer[32] = i
             if cls == ST:
                 mem_writer[eff_addr[i] >> 2] = i
-                if mem_realistic:
-                    plist = inflight_stores.setdefault(pc_col[s], [])
-                    plist.append(i)
-                    if len(plist) > 32:
-                        inflight_stores[pc_col[s]] = [
-                            sp for sp in plist
-                            if issue_cycle[sp] < 0 or completion[sp] > now]
-            if bspec_mode and cls == LD and s in bspec_loads:
-                last_load_pos[s] = i
             if cls == BRC or cls == CTI:
                 block_counter += 1
-                if bspec_mode and cls == BRC and s in bspec_resolves:
-                    bspec_stats.exit_branches += 1
-                if i in mispredicted:
-                    waived = False
-                    if bspec_mode and s in bspec_resolves:
-                        p = last_load_pos.get(bspec_resolves[s], -1)
-                        if p >= 0 and vp_attempted.get(p, False) \
-                                and vp_correct.get(p, False):
-                            # The governing load's confident, correct
-                            # value prediction determines the branch
-                            # direction at address-generation time:
-                            # fetch follows the resolved path, no fence.
-                            bspec_stats.early_resolved += 1
-                            waived = True
-                            if san is not None:
-                                san.on_branch_resolve(i, p, now)
-                        else:
-                            bspec_stats.missed += 1
-                    if not waived:
-                        block_fetch = True
-                        fence_pos = i
+                if i in mispredicted \
+                        and (waives is None or not waives(i, now)):
+                    block_fetch = True
+                    fence_pos = i
 
         # --------------------------------------------------------------
         def notify(p, now):
             comp = completion[p]
-            if mem_realistic and (p in pending_violation or taint.get(p)):
+            if keeps is not None and keeps(p):
                 # p may yet be squashed: keep its consumer list so the
                 # squash can re-block unissued consumers.
                 plist = consumers.get(p)
@@ -752,8 +442,6 @@ class WindowScheduler:
             if not plist:
                 return
             for c, kind in plist:
-                if mem_realistic and issue_cycle[c] >= 0:
-                    continue
                 if kind == _KIND_ADDR:
                     wait = pend_addr.get(c)
                     if wait is None or p not in wait:
@@ -772,8 +460,6 @@ class WindowScheduler:
                         del pend_other[c]
                     if comp > bound_other[c]:
                         bound_other[c] = comp
-                if mem_realistic:
-                    _taint_from(c, p)
                 if c not in pend_addr and c not in pend_other:
                     ba = bound_addr[c]
                     bo = bound_other[c]
@@ -781,254 +467,29 @@ class WindowScheduler:
                     heappush(future_heap, (ready_at, c))
 
         # --------------------------------------------------------------
-        def verify_memory_order(pos, now):
-            """mdpt mode, at issue: prune/propagate taint, verify loads
-            against their producing store, and re-verify watched loads
-            when a store (re-)issues."""
-            t = taint.get(pos)
-            if t:
-                t &= pending_violation
-                if t:
-                    for lv in t:
-                        slice_of[lv].add(pos)
-                else:
-                    del taint[pos]
-            cls = cls_col[sidx[pos]]
-            if cls == LD:
-                ts = true_store.get(pos, -1)
-                if ts >= 0 and (issue_cycle[ts] < 0
-                                or completion[ts] > now):
-                    # Issued past the producing store: a certain
-                    # violation once the store executes.
-                    _mark_violation(pos, ts, now)
-                    if issue_cycle[ts] >= 0:
-                        heappush(violation_heap, (completion[ts], pos))
-            elif cls == ST:
-                watchers = store_watch.get(pos)
-                if watchers:
-                    comp = completion[pos]
-                    for lw in watchers:
-                        lc = issue_cycle[lw]
-                        if lc < 0 or lc >= comp:
-                            continue
-                        if lw not in pending_violation:
-                            _mark_violation(lw, pos, now)
-                        heappush(violation_heap, (comp, lw))
-
-        def _mark_violation(load, store, now):
-            pending_violation.add(load)
-            slice_of.setdefault(load, set()).add(load)
-            t = taint.get(load)
-            if t is None:
-                taint[load] = {load}
-            else:
-                t.add(load)
-            if san is not None:
-                san.on_mem_speculate(load, store, now)
-
-        def fire_violation(load, store, when):
-            """Squash the violating load and its issued forward slice;
-            replay everything after the flush penalty, resynchronized
-            with the store that was violated."""
-            nonlocal issued
-            load_pc = pc_col[sidx[load]]
-            store_pc = pc_col[sidx[store]]
-            mdpt.train(load_pc, store_pc)
-            members = sorted(
-                p for p in slice_of.get(load, ())
-                if issue_cycle[p] >= 0 and p not in eliminated)
-            memdep_stats.record_violation(load_pc, store_pc,
-                                          len(members), FLUSH_PENALTY)
-            if san is not None:
-                san.on_violation(load, store, when)
-            member_set = set(members)
-            for p in members:
-                pending_violation.discard(p)
-            for p in members:
-                issue_cycle[p] = -1
-                completion[p] = 0
-                replaying.add(p)
-                issued -= 1
-                if san is not None:
-                    san.on_squash(p, when)
-                slice_of.pop(p, None)
-                t = taint.get(p)
-                if t:
-                    t &= pending_violation
-                    if not t:
-                        del taint[p]
-            restart = when + FLUSH_PENALTY
-            for p in members:
-                waits = set()
-                base = restart
-                for q in dep_record.get(p, ()):
-                    if q in eliminated:
-                        continue
-                    if issue_cycle[q] < 0:
-                        waits.add(q)
-                        continue
-                    cq = completion[q]
-                    if cq > base:
-                        base = cq
-                if cls_col[sidx[p]] == LD:
-                    ts = true_store.get(p, -1)
-                    if ts >= 0 and ts not in eliminated:
-                        # Resynchronize the replayed load with its true
-                        # store so it cannot re-violate the same arc.
-                        if issue_cycle[ts] < 0:
-                            waits.add(ts)
-                        elif completion[ts] > base:
-                            base = completion[ts]
-                pend_addr.pop(p, None)
-                bound_addr[p] = 0
-                bound_other[p] = base
-                if waits:
-                    pend_other[p] = waits
-                    for q in waits:
-                        consumers.setdefault(q, []).append(
-                            (p, _KIND_OTHER))
-                else:
-                    pend_other.pop(p, None)
-                    heappush(future_heap, (base, p))
-                # Unissued consumers that folded p's old completion into
-                # their bound must re-block on the replay.
-                for c, kind in consumers.get(p, ()):
-                    if c in member_set or c in eliminated \
-                            or issue_cycle[c] >= 0:
-                        continue
-                    target = pend_addr if kind == _KIND_ADDR \
-                        else pend_other
-                    wait = target.get(c)
-                    if wait is None:
-                        target[c] = {p}
-                    else:
-                        wait.add(p)
-
-        # --------------------------------------------------------------
-        def verify_values(now):
-            """value-replay mode: drain matured load verifications —
-            squash issued consumers that rode the wrong prediction and
-            schedule their replay; release unissued ones to wait for
-            the architectural value (no penalty: nothing was undone)."""
-            nonlocal issued
-            while vspec_heap and vspec_heap[0][0] <= now:
-                when, p = heappop(vspec_heap)
-                if p in eliminated or issue_cycle[p] < 0 \
-                        or completion[p] != when or vspec_wrong.get(p):
-                    continue        # stale: squashed, re-timed, or the
-                                    # load itself is still speculative
-                watchers = value_watch.pop(p, None)
-                if not watchers:
-                    continue
-                for w, kind in watchers:
-                    if w in eliminated:
-                        continue
-                    wrong = vspec_wrong.get(w)
-                    if wrong is None or p not in wrong:
-                        continue
-                    wrong.discard(p)
-                    if issue_cycle[w] >= 0 and w not in value_replaying:
-                        # Issued on the bad value: squash exactly once.
-                        issue_cycle[w] = -1
-                        completion[w] = 0
-                        issued -= 1
-                        value_replaying.add(w)
-                        vspec_stats.squashes += 1
-                        if san is not None:
-                            san.on_value_squash(w, p, now)
-                    if w in value_replaying:
-                        if not wrong:
-                            del vspec_wrong[w]
-                            restart = when + FLUSH_PENALTY
-                            bound_addr[w] = 0
-                            bound_other[w] = restart
-                            heappush(future_heap, (restart, w))
-                    else:
-                        # Never issued: the dropped arc re-materializes —
-                        # fold the load's completion into the bound and
-                        # let the consumer wait like any resolved arc.
-                        if kind == _KIND_ADDR:
-                            if when > bound_addr[w]:
-                                bound_addr[w] = when
-                        elif when > bound_other[w]:
-                            bound_other[w] = when
-                        if not wrong:
-                            del vspec_wrong[w]
-                            if w not in pend_addr and w not in pend_other:
-                                ba = bound_addr[w]
-                                bo = bound_other[w]
-                                ready_at = ba if ba > bo else bo
-                                heappush(future_heap, (ready_at, w))
-
-        # --------------------------------------------------------------
-        while issued < n or (mem_realistic and pending_violation) \
-                or (value_replay and vspec_wrong):
+        while issued < n or (recovery is not None
+                             and recovery.outstanding()):
             # Fill the window (kept full except behind a mispredicted,
             # still-unissued conditional branch; with fetch_taken_break,
-            # at most one taken control transfer enters per cycle).  In
-            # dae mode, access-slice members of clean loops may bypass a
-            # full main window into the access window, boundary loads
-            # permitting queue headroom.
+            # at most one taken control transfer enters per cycle).  A
+            # component may admit a position to a window of its own.
             while fetched < n and not block_fetch:
                 position = fetched
-                bypass = False
-                stall_loop = -1     # >= 0: queue full, -2: access full
-                if dae_mode:
-                    s_pos = sidx[position]
-                    if dae_access.get(s_pos, -1) >= 0:
-                        hb = dae_boundary.get(s_pos, -1)
-                        if hb >= 0 \
-                                and len(queues[hb]) >= dae_capacity[hb]:
-                            stall_loop = hb     # stays coupled
-                        elif access_count < window_limit:
-                            bypass = True
-                        else:
-                            stall_loop = -2     # degrades to the window
-                if not bypass and window_count >= window_limit:
-                    break
-                if bypass and san is not None:
-                    san.on_dae_bypass(position)
+                if admit is None or not admit(
+                        position, window_count >= window_limit, cycle):
+                    if window_count >= window_limit:
+                        break
+                    window_count += 1
                 enter(position, cycle)
                 fetched += 1
-                if bypass:
-                    bypassed.add(position)
-                    access_count += 1
-                    dae_stats.bypassed += 1
-                else:
-                    window_count += 1
-                    if stall_loop >= 0:
-                        dae_stats.loop(stall_loop).full_stalls += 1
-                    elif stall_loop == -2:
-                        dae_stats.degraded += 1
-                if dae_mode:
-                    hb = dae_boundary.get(sidx[position], -1)
-                    if hb >= 0 and len(queues[hb]) < dae_capacity[hb]:
-                        _dae_enqueue(hb, position, cycle)
                 if fetch_break and taken_col[position]:
                     cls = cls_col[sidx[position]]
                     if cls == BRC or cls == CTI:
                         break
 
-            # Fire matured memory-order violations (mdpt mode).
-            if mem_realistic:
-                while violation_heap and violation_heap[0][0] <= cycle:
-                    viol_load = heappop(violation_heap)[1]
-                    if viol_load not in pending_violation:
-                        continue
-                    viol_store = true_store[viol_load]
-                    if issue_cycle[viol_store] < 0:
-                        # The store itself was squashed; its re-issue
-                        # re-arms the event via the store watch list.
-                        continue
-                    comp_s = completion[viol_store]
-                    if comp_s > cycle:
-                        heappush(violation_heap, (comp_s, viol_load))
-                        continue
-                    fire_violation(viol_load, viol_store, comp_s)
-
-            # Fire matured value verifications (replay mode).
-            if value_replay:
-                verify_values(cycle)
+            # Fire matured recovery events (squashes and releases).
+            if events and events[0][0] <= cycle:
+                issued -= recovery.drain(cycle)
 
             # Mature future events.
             while future_heap and future_heap[0][0] <= cycle:
@@ -1038,10 +499,10 @@ class WindowScheduler:
             issued_now = 0
             while issued_now < width and ready_heap:
                 pos = heappop(ready_heap)
-                if node_elim and pos in eliminated:
+                if sole_reader is not None and pos in eliminated:
                     # Eliminated after being scheduled: consumes nothing.
                     continue
-                if mem_realistic or value_replay:
+                if recovery is not None:
                     # Squash/replay leaves stale heap entries behind;
                     # re-validate before issuing.
                     if issue_cycle[pos] >= 0:
@@ -1060,24 +521,12 @@ class WindowScheduler:
                     san.on_issue(pos, cycle)
                 issued += 1
                 issued_now += 1
-                if mem_realistic and pos in replaying:
-                    # A replay re-uses the window slot freed at its first
-                    # issue; it does not occupy the window again.
-                    replaying.discard(pos)
-                elif value_replay and pos in value_replaying:
-                    # Same for a value-speculation replay.
-                    value_replaying.discard(pos)
-                    vspec_stats.replays += 1
-                elif dae_mode and pos in bypassed:
-                    bypassed.discard(pos)
-                    access_count -= 1
+                held = issued_hook is not None and issued_hook(pos, cycle)
+                if pos in slotless:
+                    slotless.discard(pos)
                 else:
                     window_count -= 1
-                if dae_mode:
-                    for p in pop_on_issue.pop(pos, ()):
-                        _dae_deliver(p, pos, cycle)
-                if block_fetch and pos == fence_pos \
-                        and not (value_replay and vspec_wrong.get(pos)):
+                if block_fetch and pos == fence_pos and not held:
                     # The blocking branch issued (non-speculatively);
                     # resume fetch next cycle.
                     block_fetch = False
@@ -1087,34 +536,17 @@ class WindowScheduler:
                     groups.pop(pos, None)
                     if track_blocks:
                         block_of.pop(pos, None)
-                if mem_realistic:
-                    verify_memory_order(pos, cycle)
-                if value_replay:
-                    if cls_col[sidx[pos]] == LD and value_watch.get(pos) \
-                            and not vspec_wrong.get(pos):
-                        # Architectural completion scheduled: arm the
-                        # verification event for the riders.
-                        heappush(vspec_heap, (completion[pos], pos))
-                    if vspec_wrong.get(pos):
-                        # Speculative issue: withhold the completion from
-                        # consumers until the replay produces the
-                        # architectural value.
-                        continue
-                notify(pos, cycle)
+                if not held:
+                    notify(pos, cycle)
 
             if issued_now:
                 last_issue = cycle
                 cycle += 1
             else:
                 next_cycle = future_heap[0][0] if future_heap else None
-                if mem_realistic and violation_heap:
-                    viol_next = violation_heap[0][0]
-                    if next_cycle is None or viol_next < next_cycle:
-                        next_cycle = viol_next
-                if value_replay and vspec_heap:
-                    vnext = vspec_heap[0][0]
-                    if next_cycle is None or vnext < next_cycle:
-                        next_cycle = vnext
+                if events and (next_cycle is None
+                               or events[0][0] < next_cycle):
+                    next_cycle = events[0][0]
                 if next_cycle is None:
                     cycle += 1
                 elif fetch_break and fetched < n and not block_fetch \
@@ -1139,8 +571,5 @@ class WindowScheduler:
             branch=self.branch_result,
             issue_cycles=issue_cycle,
             eliminated_positions=eliminated,
-            memdep=memdep_stats,
-            dae=dae_stats,
-            value_spec=vspec_stats,
-            branch_spec=bspec_stats,
+            **{part.FIELD: part.stats for part in parts},
         )

@@ -35,8 +35,8 @@ def value_outcomes(trace, table=None, predictor="last"):
 
 def _value_predictor_kind(config):
     """Config I speculates on the confident *stride* predictor — the
-    mechanism the valueflow lint statically bounds; the legacy oracle
-    mode (``value_spec=True``) keeps the original last-value pass."""
+    mechanism the valueflow lint statically bounds; the oracle mode
+    (``value_spec=True``) keeps the original last-value pass."""
     return "stride" if config.value_spec == VALUE_SPEC_REPLAY else "last"
 
 

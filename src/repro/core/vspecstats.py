@@ -18,57 +18,18 @@ Counts the scheduler's value-speculation events:
   every run: recovery happens exactly once per squashed consumer.
 """
 
+from ..counters import CounterRecord
 
-class ValueSpecStats:
+
+class ValueSpecStats(CounterRecord):
     """Value-speculation behaviour of one simulated run."""
 
     __slots__ = ("bypassed", "speculated", "late", "squashes", "replays")
-
-    def __init__(self):
-        self.bypassed = 0
-        self.speculated = 0
-        self.late = 0
-        self.squashes = 0
-        self.replays = 0
 
     @property
     def attempted(self):
         """Arcs dropped on a confident prediction, right or wrong."""
         return self.bypassed + self.speculated
-
-    def merge(self, other):
-        self.bypassed += other.bypassed
-        self.speculated += other.speculated
-        self.late += other.late
-        self.squashes += other.squashes
-        self.replays += other.replays
-        return self
-
-    def to_payload(self):
-        """JSON-safe dict for the disk-cache codec (see repro.cache)."""
-        return {
-            "bypassed": self.bypassed,
-            "speculated": self.speculated,
-            "late": self.late,
-            "squashes": self.squashes,
-            "replays": self.replays,
-        }
-
-    @classmethod
-    def from_payload(cls, payload):
-        stats = cls()
-        stats.bypassed = int(payload.get("bypassed", 0))
-        stats.speculated = int(payload.get("speculated", 0))
-        stats.late = int(payload.get("late", 0))
-        stats.squashes = int(payload.get("squashes", 0))
-        stats.replays = int(payload.get("replays", 0))
-        return stats
-
-    def __repr__(self):
-        return ("ValueSpecStats(bypassed=%d, speculated=%d, late=%d, "
-                "squashes=%d, replays=%d)"
-                % (self.bypassed, self.speculated, self.late,
-                   self.squashes, self.replays))
 
 
 __all__ = ["ValueSpecStats"]

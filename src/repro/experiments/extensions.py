@@ -13,6 +13,7 @@ configuration E (ideal address speculation).
 
 from ..collapse.rules import CollapseRules
 from ..core.config import LOAD_SPEC_REAL, WIDTH_LABELS, MachineConfig
+from ..core.results import MECHANISM_STATS
 from ..core.simulator import value_outcomes
 from ..metrics.means import harmonic_mean, mean_ipc, mean_speedup
 from .exhibit import Exhibit, register_exhibit
@@ -29,6 +30,17 @@ def _variant_config(width, elim, vspec):
     return MachineConfig(width, collapse_rules=CollapseRules.paper(),
                          load_spec=LOAD_SPEC_REAL,
                          node_elimination=elim, value_spec=vspec)
+
+
+def _merged(results, field):
+    """The ``field`` stats records of ``results`` merged into one, and
+    the factor scaling its counts to events per 1k instructions."""
+    merged = dict(MECHANISM_STATS)[field]()
+    for result in results:
+        stats = getattr(result, field)
+        if stats is not None:
+            merged.merge(stats)
+    return merged, 1000.0 / max(1, sum(r.instructions for r in results))
 
 
 def extension_figure(runner):
@@ -244,7 +256,6 @@ def elimination_counts(runner, width=16):
          "as the MDPT trains.")
 def memory_speculation(runner):
     """Realistic memory disambiguation: MDPT store-set configs F/G."""
-    from ..memdep.stats import MemDepStats
     headers = ["width", "A", "F", "G", "F/A", "G/C",
                "viol/1k", "sync/1k", "flush cyc/1k"]
     rows = []
@@ -253,13 +264,7 @@ def memory_speculation(runner):
         c = runner.results("C", width)
         f = runner.results("F", width)
         g = runner.results("G", width)
-        merged = MemDepStats()
-        instructions = 0
-        for result in f:
-            if result.memdep is not None:
-                merged.merge(result.memdep)
-            instructions += result.instructions
-        per_1k = 1000.0 / max(1, instructions)
+        merged, per_1k = _merged(f, "memdep")
         rows.append([
             WIDTH_LABELS.get(width, str(width)),
             mean_ipc(a), mean_ipc(f), mean_ipc(g),
@@ -292,7 +297,6 @@ def memory_speculation(runner):
          "configuration C would merely have waited.")
 def value_speculation(runner):
     """Stride value speculation (I) between C and the oracle E."""
-    from ..core.vspecstats import ValueSpecStats
     headers = ["width", "C", "I", "E", "I/C", "I/E",
                "bypass/1k", "spec/1k", "squash/1k", "late/1k"]
     rows = []
@@ -300,13 +304,7 @@ def value_speculation(runner):
         c = runner.results("C", width)
         e = runner.results("E", width)
         i = runner.results("I", width)
-        merged = ValueSpecStats()
-        instructions = 0
-        for result in i:
-            if result.value_spec is not None:
-                merged.merge(result.value_spec)
-            instructions += result.instructions
-        per_1k = 1000.0 / max(1, instructions)
+        merged, per_1k = _merged(i, "value_spec")
         rows.append([
             WIDTH_LABELS.get(width, str(width)),
             mean_ipc(c), mean_ipc(i), mean_ipc(e),
@@ -341,20 +339,13 @@ def value_speculation(runner):
          "kernels mostly do not), so most rows show J == I exactly.")
 def load_driven_branches(runner):
     """Load-driven exit-branch prediction (J) over its base (I)."""
-    from ..core.branchspecstats import BranchSpecStats
     headers = ["width", "I", "J", "J/I", "exit br/1k", "early/1k",
                "missed/1k", "early frac"]
     rows = []
     for width in runner.widths:
         i = runner.results("I", width)
         j = runner.results("J", width)
-        merged = BranchSpecStats()
-        instructions = 0
-        for result in j:
-            if result.branch_spec is not None:
-                merged.merge(result.branch_spec)
-            instructions += result.instructions
-        per_1k = 1000.0 / max(1, instructions)
+        merged, per_1k = _merged(j, "branch_spec")
         resolved = merged.early_resolved + merged.missed
         rows.append([
             WIDTH_LABELS.get(width, str(width)),
@@ -397,7 +388,6 @@ _MDPT_STORE_SETS = (2, 4, 8)
 def mdpt_sensitivity(runner, width=8):
     """IPC and misspeculation rates across MDPT table geometries."""
     from ..core.config import paper_config
-    from ..memdep.stats import MemDepStats
     headers = ["entries", "set size", "F", "F/A", "viol/1k", "sync/1k",
                "flush cyc/1k"]
     baselines = [runner.result(name, "A", width) for name in runner.names]
@@ -408,13 +398,7 @@ def mdpt_sensitivity(runner, width=8):
                                   mdpt_store_set=store_set)
             results = [runner.simulate(name, config)
                        for name in runner.names]
-            merged = MemDepStats()
-            instructions = 0
-            for result in results:
-                if result.memdep is not None:
-                    merged.merge(result.memdep)
-                instructions += result.instructions
-            per_1k = 1000.0 / max(1, instructions)
+            merged, per_1k = _merged(results, "memdep")
             rows.append([
                 entries, store_set, mean_ipc(results),
                 mean_speedup(results, baselines),
@@ -444,7 +428,6 @@ def mdpt_sensitivity(runner, width=8):
          "and run exactly as A.")
 def decoupled_streams(runner):
     """Decoupled access/execute (H) versus the base machine (A)."""
-    from ..core.daestats import DAEStats
     from ..workloads.registry import NON_POINTER_CHASING
     headers = ["width", "A", "H", "H/A", "H/A (stride)", "bypass/1k",
                "enq/1k", "chase/1k", "peak q"]
@@ -456,13 +439,7 @@ def decoupled_streams(runner):
         h = runner.results("H", width)
         a_stride = runner.results("A", width, stride)
         h_stride = runner.results("H", width, stride)
-        merged = DAEStats()
-        instructions = 0
-        for result in h:
-            if result.dae is not None:
-                merged.merge(result.dae)
-            instructions += result.instructions
-        per_1k = 1000.0 / max(1, instructions)
+        merged, per_1k = _merged(h, "dae")
         rows.append([
             WIDTH_LABELS.get(width, str(width)),
             mean_ipc(a), mean_ipc(h),

@@ -326,14 +326,7 @@ class SchedulerSanitizer:
             self._violate(
                 "value squash of %d against load %d it never "
                 "speculated on" % (w, p))
-        if self._issue_cycle[w] is None:
-            self._violate(
-                "position %d value-squashed without having issued"
-                % (w,))
-            return
-        self._issue_cycle[w] = None
-        self._completion[w] = None
-        self._squashed.add(w)
+        self._unissue(w, "value-squashed")
 
     def on_branch_resolve(self, i, p, cycle):
         """Mispredicted exit branch ``i``'s fetch fence is waived: its
@@ -433,9 +426,13 @@ class SchedulerSanitizer:
     def on_squash(self, p, cycle):
         """Position ``p`` is squashed for replay after a violation."""
         self.mem_squashes += 1
+        self._unissue(p, "squashed")
+
+    def _unissue(self, p, what):
+        """Either squash: ``p``'s issue is undone until its replay."""
         if self._issue_cycle[p] is None:
-            self._violate("position %d squashed without having issued"
-                          % (p,))
+            self._violate("position %d %s without having issued"
+                          % (p, what))
             return
         self._issue_cycle[p] = None
         self._completion[p] = None

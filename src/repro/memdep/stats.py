@@ -1,7 +1,9 @@
 """Accounting for realistic memory disambiguation (configs F/G)."""
 
+from ..counters import CounterRecord
 
-class MemDepStats:
+
+class MemDepStats(CounterRecord):
     """Counters gathered by the scheduler's ``mdpt`` memory mode.
 
     Attributes
@@ -23,15 +25,10 @@ class MemDepStats:
     __slots__ = ("loads", "dependent", "synchronized", "false_syncs",
                  "violations", "squashed", "flush_cycles",
                  "violation_pairs")
+    EXTRA = ("violation_pairs",)
 
     def __init__(self):
-        self.loads = 0
-        self.dependent = 0
-        self.synchronized = 0
-        self.false_syncs = 0
-        self.violations = 0
-        self.squashed = 0
-        self.flush_cycles = 0
+        super().__init__()
         self.violation_pairs = {}
 
     def record_violation(self, load_pc, store_pc, slice_size, penalty):
@@ -46,50 +43,24 @@ class MemDepStats:
         return len(self.violation_pairs)
 
     def merge(self, other):
-        self.loads += other.loads
-        self.dependent += other.dependent
-        self.synchronized += other.synchronized
-        self.false_syncs += other.false_syncs
-        self.violations += other.violations
-        self.squashed += other.squashed
-        self.flush_cycles += other.flush_cycles
+        super().merge(other)
         for pair, count in other.violation_pairs.items():
             self.violation_pairs[pair] = \
                 self.violation_pairs.get(pair, 0) + count
+        return self
 
     def to_payload(self):
-        return {
-            "loads": self.loads,
-            "dependent": self.dependent,
-            "synchronized": self.synchronized,
-            "false_syncs": self.false_syncs,
-            "violations": self.violations,
-            "squashed": self.squashed,
-            "flush_cycles": self.flush_cycles,
-            "violation_pairs": [
-                [lpc, spc, count]
-                for (lpc, spc), count in sorted(self.violation_pairs.items())
-            ],
-        }
+        payload = super().to_payload()
+        payload["violation_pairs"] = [
+            [lpc, spc, count]
+            for (lpc, spc), count in sorted(self.violation_pairs.items())]
+        return payload
 
     @classmethod
     def from_payload(cls, payload):
-        stats = cls()
-        stats.loads = payload.get("loads", 0)
-        stats.dependent = payload.get("dependent", 0)
-        stats.synchronized = payload.get("synchronized", 0)
-        stats.false_syncs = payload.get("false_syncs", 0)
-        stats.violations = payload.get("violations", 0)
-        stats.squashed = payload.get("squashed", 0)
-        stats.flush_cycles = payload.get("flush_cycles", 0)
+        stats = super().from_payload(payload)
         stats.violation_pairs = {
             (lpc, spc): count
             for lpc, spc, count in payload.get("violation_pairs", ())
         }
         return stats
-
-    def __repr__(self):
-        return ("MemDepStats(loads=%d, dependent=%d, sync=%d, "
-                "violations=%d, squashed=%d)") % (
-                    self.loads, self.dependent, self.synchronized,
-                    self.violations, self.squashed)

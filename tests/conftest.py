@@ -1,6 +1,10 @@
 """Make tests/ importable as a flat namespace (helpers module) and pin
 hypothesis to deterministic example generation so CI runs are stable.
 
+``--hypothesis-profile=deep`` keeps that determinism and raises the
+example budget of every property test that sets no ``max_examples`` of
+its own (CI runs ``test_scheduler_recovery.py`` this way).
+
 ``--regen-golden`` rewrites the golden files under ``tests/golden/``
 from the current code instead of asserting them (see
 ``test_golden_cells.py``)."""
@@ -14,6 +18,8 @@ from hypothesis import settings
 sys.path.insert(0, os.path.dirname(__file__))
 
 settings.register_profile("repro", derandomize=True)
+settings.register_profile("deep", parent=settings.get_profile("repro"),
+                          max_examples=1000)
 settings.load_profile("repro")
 
 

@@ -102,3 +102,33 @@ def test_dae_stats_round_trip_through_payload():
 
     plain = SimResult.from_payload(_result(10).to_payload())
     assert plain.dae is None
+
+    # merge returns the record; a loop's peak merges by maximum
+    other = DAEStats()
+    other.bypassed = 2
+    other.loop(26).peak = 3
+    other.loop(26).enqueued = 1
+    assert back.dae.merge(other) is back.dae
+    assert back.dae.bypassed == 7
+    assert back.dae.loops[26].peak == 4
+    assert back.dae.loops[26].enqueued == 13
+
+
+def test_value_and_memdep_stats_round_trip_through_payload():
+    from repro.core.vspecstats import ValueSpecStats
+    from repro.memdep import MemDepStats
+    vspec = ValueSpecStats()
+    vspec.bypassed, vspec.speculated, vspec.squashes = 9, 4, 3
+    vspec.replays = 3
+    memdep = MemDepStats()
+    memdep.loads = 20
+    memdep.record_violation(0x1040, 0x1010, 3, 5)
+    result = _result(10)
+    result.value_spec = vspec
+    result.memdep = memdep
+    back = SimResult.from_payload(result.to_payload())
+    assert back.value_spec.to_payload() == vspec.to_payload()
+    assert back.memdep.to_payload() == memdep.to_payload()
+    assert back.memdep.violation_pairs == {(0x1040, 0x1010): 1}
+    plain = SimResult.from_payload(_result(10).to_payload())
+    assert plain.value_spec is None and plain.memdep is None

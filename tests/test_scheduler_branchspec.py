@@ -51,6 +51,36 @@ def test_stats_payload_round_trip():
     assert "exit_branches=7" in repr(stats)
 
 
+@pytest.mark.parametrize("record", [
+    "repro.core.branchspecstats.BranchSpecStats",
+    "repro.core.vspecstats.ValueSpecStats",
+    "repro.core.daestats.DAELoopStats",
+    "repro.memdep.stats.MemDepStats",
+])
+def test_every_counter_record_round_trips_and_merges(record):
+    import importlib
+    module, name = record.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module), name)
+    stats = cls()
+    counters = cls.counters()
+    for value, field in enumerate(counters, start=1):
+        setattr(stats, field, value)
+    payload = stats.to_payload()
+    loaded = cls.from_payload(payload)
+    assert loaded.to_payload() == payload
+    # from_payload coerces counters to int, like every other codec
+    coerced = cls.from_payload({field: str(value)
+                                for field, value in payload.items()
+                                if field in counters})
+    assert [getattr(coerced, field) for field in counters] \
+        == list(range(1, len(counters) + 1))
+    assert stats.merge(loaded) is stats
+    for value, field in enumerate(counters, start=1):
+        expected = value if field in cls.MAXIMA else 2 * value
+        assert getattr(stats, field) == expected
+    assert "%s=%d" % (counters[0], 2) in repr(stats)
+
+
 def test_sim_result_payload_round_trips_branch_spec():
     trace, plan = example_setup()
     result = simulate_trace(trace, paper_config("J", 2),
