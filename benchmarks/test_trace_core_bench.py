@@ -1,14 +1,17 @@
-"""SoA trace-core benches: scalar vs numpy kernels, plus the snapshot.
+"""SoA trace-core benches: scalar references vs numpy kernels, plus the
+snapshot.
 
 Real multi-round timings of the paths the SoA refactor vectorized —
 fused dependence-depth propagation, the three predictor sweeps, SoA
-snapshot construction, and format-v2 save/load — each parametrized
-over ``REPRO_KERNEL`` so a run shows both sides.  The committed
-speedup snapshot lives in ``benchmarks/BENCH_trace_core.json``
-(refresh with ``python -m repro.bench.trace_core --write``); the
-measuring regression gate runs in CI via
-``python -m repro.bench.trace_core --check``, while here a cheap test
-validates the snapshot's shape and recorded acceptance floor.
+snapshot construction, and format-v2 save/load.  Each vectorized pass
+is timed beside the scalar reference loop it reproduces (the pairs
+``tests/test_kernel_equivalence.py`` pins identical), so a run shows
+both sides.  The committed speedup snapshot lives in
+``benchmarks/BENCH_trace_core.json`` (refresh with
+``python -m repro.bench.trace_core --write``); the measuring
+regression gate runs in CI via ``python -m repro.bench.trace_core
+--check``, while here a cheap test validates the snapshot's shape and
+recorded acceptance floor.
 """
 
 import json
@@ -17,18 +20,30 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy", reason="trace-core benches compare kernels", exc_type=ImportError)
-
-from repro import kernel
-from repro.addrpred import run_address_predictor
-from repro.bench.trace_core import DEPTH_FLOOR, GATED, SNAPSHOT
-from repro.bpred import run_branch_predictor
+from repro.addrpred import TwoDeltaTable, run_address_predictor
+from repro.analysis.depgraph import (
+    DependenceGraph,
+    _walk_restructured,
+    restructured_depths,
+)
+from repro.bench.trace_core import (
+    DEPTH_FLOOR,
+    GATED,
+    SNAPSHOT,
+    _clear_depth_cache,
+)
+from repro.bpred import make_branch_predictor, run_branch_predictor
 from repro.trace.io import load_trace, save_trace
-from repro.vpred import run_value_predictor
+from repro.vpred import make_value_table, run_value_predictor
 from repro.workloads import cached_trace
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.08"))
-KERNEL_MATRIX = ["python", "numpy"]
+SIDES = ["scalar", "numpy"]
+
+#: the restructured-depth variants the report consumes, beside plain
+_VARIANTS = ({"collapse": True},
+             {"collapse": True, "cut_all_loads": True},
+             {"cut_all_loads": True})
 
 
 @pytest.fixture(scope="module")
@@ -36,29 +51,26 @@ def trace():
     return cached_trace("espresso", BENCH_SCALE)
 
 
-def _kernelized(benchmark, kern, fn, rounds=3):
-    def run():
-        with kernel.kernel_override(kern):
-            return fn()
-    return benchmark.pedantic(run, rounds=rounds, iterations=1)
+def _rounds(benchmark, fn, rounds=3):
+    return benchmark.pedantic(fn, rounds=rounds, iterations=1)
 
 
-@pytest.mark.parametrize("kern", KERNEL_MATRIX)
-def test_depth_kernel(benchmark, trace, kern):
-    from repro.analysis.depgraph import (DependenceGraph,
-                                         restructured_depths)
-    from repro.bench.trace_core import _clear_depth_cache
-
+@pytest.mark.parametrize("side", SIDES)
+def test_depth_kernel(benchmark, trace, side):
     def all_variants():
         # Cold each round: the numpy side re-derives its dependence
         # columns, the scalar side re-walks the rename state.
         _clear_depth_cache(trace)
-        DependenceGraph(trace).depths()
-        restructured_depths(trace, collapse=True)
-        restructured_depths(trace, collapse=True, cut_all_loads=True)
-        restructured_depths(trace, cut_all_loads=True)
+        if side == "scalar":
+            DependenceGraph(trace)._walk_depths()
+            for variant in _VARIANTS:
+                _walk_restructured(trace, **variant)
+        else:
+            DependenceGraph(trace).depths()
+            for variant in _VARIANTS:
+                restructured_depths(trace, **variant)
 
-    _kernelized(benchmark, kern, all_variants)
+    _rounds(benchmark, all_variants)
 
 
 def test_depth_kernel_numpy_warm(benchmark, trace):
@@ -66,32 +78,31 @@ def test_depth_kernel_numpy_warm(benchmark, trace):
     the figure the >=10x acceptance criterion gates at scale 0.1."""
     from repro.analysis.nkernel import _propagate, dep_columns
 
-    with kernel.kernel_override("numpy"):
-        columns = dep_columns(trace)
-        result = benchmark.pedantic(lambda: _propagate(columns),
-                                    rounds=5, iterations=1)
+    columns = dep_columns(trace)
+    result = benchmark.pedantic(lambda: _propagate(columns),
+                                rounds=5, iterations=1)
     assert result.shape[0] == len(trace)
 
 
-@pytest.mark.parametrize("kern", KERNEL_MATRIX)
-def test_branch_sweep(benchmark, trace, kern):
-    result = _kernelized(benchmark, kern,
-                         lambda: run_branch_predictor(trace))
+@pytest.mark.parametrize("side", SIDES)
+def test_branch_sweep(benchmark, trace, side):
+    result = _rounds(benchmark, lambda: run_branch_predictor(
+        trace, make_branch_predictor() if side == "scalar" else None))
     assert result.conditional > 0
 
 
-@pytest.mark.parametrize("kern", KERNEL_MATRIX)
-def test_address_sweep(benchmark, trace, kern):
-    result = _kernelized(
-        benchmark, kern,
-        lambda: run_address_predictor(trace, per_pc=True))
+@pytest.mark.parametrize("side", SIDES)
+def test_address_sweep(benchmark, trace, side):
+    result = _rounds(benchmark, lambda: run_address_predictor(
+        trace, TwoDeltaTable() if side == "scalar" else None,
+        per_pc=True))
     assert result.loads > 0
 
 
-@pytest.mark.parametrize("kern", KERNEL_MATRIX)
-def test_value_sweep(benchmark, trace, kern):
-    result = _kernelized(benchmark, kern,
-                         lambda: run_value_predictor(trace))
+@pytest.mark.parametrize("side", SIDES)
+def test_value_sweep(benchmark, trace, side):
+    result = _rounds(benchmark, lambda: run_value_predictor(
+        trace, make_value_table() if side == "scalar" else None))
     assert result.loads > 0
 
 
@@ -107,7 +118,7 @@ def test_trace_v2_round_trip(benchmark, trace, tmp_path):
     path = tmp_path / "bench.trace"
 
     def round_trip():
-        save_trace(trace, path, version=2)
+        save_trace(trace, path)
         return load_trace(path, mmap=True)
 
     loaded = benchmark.pedantic(round_trip, rounds=3, iterations=1)

@@ -9,9 +9,10 @@ computed in one pass.  The timing simulator later decides *readiness*
 One pass serves both load streams: :func:`run_address_predictor` runs
 it over effective addresses (the paper's load speculation) and
 :func:`repro.vpred.run_value_predictor` over the values loads return
-(the value-speculation extension).  Both reach :func:`run_load_table`
-(the sequential reference loop) or :func:`run_load_sweep` (its
-vectorized twin) with the trace column to read.
+(the value-speculation extension).  Both run :func:`run_load_sweep`
+(the vectorized pass) with the trace column to read, or
+:func:`run_load_table` (the sequential loop, also the sweep's
+reference) when the caller supplies a table.
 
 Two accuracy views are reported:
 
@@ -30,9 +31,7 @@ addresses, ``repro.lint.valueflow`` over values) cross-check their
 per-site claims against exactly these histograms.
 """
 
-from .. import kernel
 from ..trace.records import LD
-from .two_delta import TwoDeltaTable
 
 #: observations before a cold entry can predict: for a two-delta table
 #: the first access seeds the stream and the stride must then be seen
@@ -176,17 +175,15 @@ def run_address_predictor(trace, table=None, per_pc=False):
     static load address in ``result.per_pc`` (costs one dict lookup per
     load; leave off in the simulator hot path).
 
-    With the default table the pass dispatches to the vectorized sweep
-    (:mod:`repro.addrpred.nsweep`) under the numpy kernel; an explicit
-    ``table`` always runs the sequential loop, since the caller observes
-    its trained entries.
+    With the default table the pass runs the vectorized sweep
+    (:mod:`repro.addrpred.nsweep`); an explicit ``table`` runs the
+    sequential loop, since the caller observes its trained entries.
+    ``run_address_predictor(trace, TwoDeltaTable())`` is the sweep's
+    scalar reference.
     """
     if table is None:
-        if kernel.use_numpy():
-            from .nsweep import two_delta_sweep
-            return run_load_sweep(trace, "eff_addr", two_delta_sweep,
-                                  per_pc)
-        table = TwoDeltaTable()
+        from .nsweep import two_delta_sweep
+        return run_load_sweep(trace, "eff_addr", two_delta_sweep, per_pc)
     return run_load_table(trace, "eff_addr", table, per_pc)
 
 

@@ -22,7 +22,6 @@ Control dependences are ignored (perfect prediction), matching the
 its windowed results.
 """
 
-from .. import kernel
 from ..collapse.classify import Group
 from ..trace.records import LD, ST
 
@@ -34,8 +33,8 @@ class DependenceGraph:
     positions with their kinds (``"reg"``, ``"cc"``, ``"mem"``,
     ``"data"`` for store data).
 
-    The adjacency lists (``preds``) are built lazily: the numpy kernel
-    computes :meth:`depths` straight from the SoA dependence columns
+    The adjacency lists (``preds``) are built lazily: :meth:`depths`
+    of an uncut graph comes straight from the SoA dependence columns
     (``repro.analysis.nkernel``) without materialising per-position
     edge lists, so a graph used only for depth/critical-path queries
     never pays for them.
@@ -123,12 +122,19 @@ class DependenceGraph:
         cannot poison the cache (the recurrence cross-check and the
         dataflow exhibits share this object).
         """
-        if self._depths is not None:
-            return self._depths
-        if not self.cut_addr_loads and kernel.use_numpy():
-            from .nkernel import variant_depths
-            self._depths = tuple(variant_depths(self.trace).tolist())
-            return self._depths
+        if self._depths is None:
+            if self.cut_addr_loads:
+                depths = self._walk_depths()
+            else:
+                from .nkernel import variant_depths
+                depths = variant_depths(self.trace).tolist()
+            self._depths = tuple(depths)
+        return self._depths
+
+    def _walk_depths(self):
+        """:meth:`depths` as one walk over the adjacency lists: the
+        pass a cut graph needs, and the scalar reference of the uncut
+        graph's vectorized kernel."""
         lat = self.trace.static.lat
         sidx = self.trace.sidx
         depths = [0] * len(self.preds)
@@ -138,8 +144,7 @@ class DependenceGraph:
                 if depths[p] > start:
                     start = depths[p]
             depths[i] = start + lat[sidx[i]]
-        self._depths = tuple(depths)
-        return self._depths
+        return depths
 
     def critical_path(self):
         """Length of the longest dependence path (completion cycles)."""
@@ -231,12 +236,21 @@ def restructured_depths(trace, collapse=False, cut_addr_loads=None,
     the full static cut set under-estimates config I, which bypasses
     only confidently-predicted *loads* and replays mispredictions.
     """
+    if cut_addr_loads is not None or cut_value_producers:
+        return _walk_restructured(trace, collapse, cut_addr_loads,
+                                  cut_all_loads, cut_value_producers)
+    from .nkernel import variant_depths
+    return variant_depths(trace, collapse=collapse,
+                          cut_all_loads=cut_all_loads).tolist()
+
+
+def _walk_restructured(trace, collapse=False, cut_addr_loads=None,
+                       cut_all_loads=False, cut_value_producers=None):
+    """:func:`restructured_depths` as one program-order walk: the pass
+    the per-site cut variants need, and the scalar reference of the
+    vectorized kernel for the others."""
     vcut_set = frozenset(cut_value_producers) if cut_value_producers \
         else frozenset()
-    if cut_addr_loads is None and not vcut_set and kernel.use_numpy():
-        from .nkernel import variant_depths
-        return variant_depths(trace, collapse=collapse,
-                              cut_all_loads=cut_all_loads).tolist()
     static = trace.static
     sidx = trace.sidx
     lat_col = static.lat

@@ -1,9 +1,9 @@
 """Trace-core throughput snapshots and the perf-regression gate.
 
-Measures, per suite workload, the scalar-vs-numpy timings of the hot
-kernels the SoA trace core vectorizes — the fused dependence-depth
-propagation, the three predictor sweeps, and trace I/O — and records
-them in ``benchmarks/BENCH_trace_core.json``:
+Measures, per suite workload, the hot kernels the SoA trace core
+vectorizes — the fused dependence-depth propagation and the three
+predictor sweeps — against the scalar reference loops they reproduce,
+and records the timings in ``benchmarks/BENCH_trace_core.json``:
 
     python -m repro.bench.trace_core --write            # refresh snapshot
     python -m repro.bench.trace_core --check            # regression gate
@@ -28,8 +28,6 @@ import sys
 import time
 from pathlib import Path
 
-from .. import kernel
-from ..errors import ReproError
 from ..metrics.means import harmonic_mean
 
 SNAPSHOT = Path(__file__).resolve().parents[3] \
@@ -64,50 +62,51 @@ def _clear_depth_cache(trace):
 
 
 def measure_workload(name, scale, repeats=5):
-    """One workload's scalar/numpy kernel timings (seconds)."""
+    """One workload's scalar-reference/numpy kernel timings (seconds)."""
+    from ..addrpred import TwoDeltaTable
     from ..addrpred.runner import run_address_predictor
-    from ..analysis.depgraph import DependenceGraph, restructured_depths
+    from ..analysis.depgraph import DependenceGraph, _walk_restructured
     from ..analysis.nkernel import _propagate, dep_columns
-    from ..bpred.runner import run_branch_predictor
-    from ..vpred.runner import run_value_predictor
+    from ..bpred.runner import make_branch_predictor, run_branch_predictor
+    from ..vpred.runner import make_value_table, run_value_predictor
     from ..workloads import cached_trace
 
     trace = cached_trace(name, scale)
     row = {"n": len(trace)}
 
     def scalar_depths():
-        DependenceGraph(trace).depths()
-        restructured_depths(trace, collapse=True)
-        restructured_depths(trace, collapse=True, cut_all_loads=True)
-        restructured_depths(trace, cut_all_loads=True)
+        DependenceGraph(trace)._walk_depths()
+        _walk_restructured(trace, collapse=True)
+        _walk_restructured(trace, collapse=True, cut_all_loads=True)
+        _walk_restructured(trace, cut_all_loads=True)
 
-    with kernel.kernel_override("python"):
-        row["scalar_depth_ms"] = _best(scalar_depths, repeats) * 1e3
-        row["bpred_scalar_ms"] = _best(
-            lambda: run_branch_predictor(trace), repeats) * 1e3
-        row["addrpred_scalar_ms"] = _best(
-            lambda: run_address_predictor(trace, per_pc=True),
-            repeats) * 1e3
-        row["vpred_scalar_ms"] = _best(
-            lambda: run_value_predictor(trace), repeats) * 1e3
+    row["scalar_depth_ms"] = _best(scalar_depths, repeats) * 1e3
+    row["bpred_scalar_ms"] = _best(
+        lambda: run_branch_predictor(trace, make_branch_predictor()),
+        repeats) * 1e3
+    row["addrpred_scalar_ms"] = _best(
+        lambda: run_address_predictor(trace, TwoDeltaTable(), per_pc=True),
+        repeats) * 1e3
+    row["vpred_scalar_ms"] = _best(
+        lambda: run_value_predictor(trace, make_value_table()),
+        repeats) * 1e3
 
-    with kernel.kernel_override("numpy"):
-        _clear_depth_cache(trace)
-        t0 = time.perf_counter()
-        columns = dep_columns(trace)
-        row["numpy_cold_ms"] = (time.perf_counter() - t0) * 1e3
-        row["levels"] = columns.nlevels
-        row["arcs_per_node"] = round(
-            columns.idx.shape[0] / max(1, len(trace)), 2)
-        row["numpy_warm_ms"] = _best(
-            lambda: _propagate(columns), max(repeats, 5)) * 1e3
-        row["bpred_numpy_ms"] = _best(
-            lambda: run_branch_predictor(trace), repeats) * 1e3
-        row["addrpred_numpy_ms"] = _best(
-            lambda: run_address_predictor(trace, per_pc=True),
-            repeats) * 1e3
-        row["vpred_numpy_ms"] = _best(
-            lambda: run_value_predictor(trace), repeats) * 1e3
+    _clear_depth_cache(trace)
+    t0 = time.perf_counter()
+    columns = dep_columns(trace)
+    row["numpy_cold_ms"] = (time.perf_counter() - t0) * 1e3
+    row["levels"] = columns.nlevels
+    row["arcs_per_node"] = round(
+        columns.idx.shape[0] / max(1, len(trace)), 2)
+    row["numpy_warm_ms"] = _best(
+        lambda: _propagate(columns), max(repeats, 5)) * 1e3
+    row["bpred_numpy_ms"] = _best(
+        lambda: run_branch_predictor(trace), repeats) * 1e3
+    row["addrpred_numpy_ms"] = _best(
+        lambda: run_address_predictor(trace, per_pc=True),
+        repeats) * 1e3
+    row["vpred_numpy_ms"] = _best(
+        lambda: run_value_predictor(trace), repeats) * 1e3
 
     row["depth_speedup"] = row["scalar_depth_ms"] / row["numpy_warm_ms"]
     for sweep in ("bpred", "addrpred", "vpred"):
@@ -218,9 +217,6 @@ def main(argv=None):
                       help="measure and gate against the snapshot")
     args = parser.parse_args(argv)
 
-    if not kernel.numpy_available():
-        raise ReproError("trace-core benchmarks need numpy "
-                         "(REPRO_KERNEL=numpy unavailable)")
     measured = measure(args.scale, args.repeats)
     if args.write:
         args.snapshot.write_text(json.dumps(measured, indent=1,

@@ -16,7 +16,6 @@ counter sat at a saturation point (0 or maximum) before the branch
 predicted.
 """
 
-from .. import kernel
 from ..addrpred.runner import PC_WARMUP
 from ..errors import ReproError
 from ..trace.records import BRC
@@ -230,11 +229,12 @@ def run_branch_predictor(trace, predictor=None, per_pc=False):
 
     ``predictor`` is a predictor instance, one of the names in
     :data:`PREDICTORS`, or None for the default combining scheme.
-    Named default-parameter predictors dispatch to the vectorized
-    sweeps (:mod:`repro.bpred.nsweep`) under the numpy kernel; an
-    explicit instance always runs the sequential loop, since the caller
-    observes its trained state.  ``per_pc=True`` additionally collects
-    a :class:`PerPCBranchStat` per static branch PC.
+    Named default-parameter predictors with a vectorized sweep
+    (:mod:`repro.bpred.nsweep`) run it; an explicit instance runs the
+    sequential loop, since the caller observes its trained state, and
+    ``run_branch_predictor(trace, make_branch_predictor(name))`` is a
+    sweep's scalar reference.  ``per_pc=True`` additionally collects a
+    :class:`PerPCBranchStat` per static branch PC.
     """
     name = None
     if predictor is None:
@@ -246,7 +246,7 @@ def run_branch_predictor(trace, predictor=None, per_pc=False):
                 "unknown branch predictor %r (expected one of %s)"
                 % (name, ", ".join(PREDICTORS)))
     if name is not None:
-        if name in _VECTORIZED and kernel.use_numpy():
+        if name in _VECTORIZED:
             return _run_numpy(trace, name, per_pc)
         predictor = make_branch_predictor(name)
     static = trace.static

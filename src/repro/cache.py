@@ -130,8 +130,7 @@ class DiskCache:
         try:
             trace = load_trace(path)
         except TraceFormatError:
-            # Unreadable here (a truncated write, or a v2 file from a
-            # numpy-enabled run read where numpy is missing): regenerate.
+            # A corrupt or truncated entry: regenerate it.
             self.counters["trace_misses"] += 1
             return None
         self.counters["trace_hits"] += 1

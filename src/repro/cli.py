@@ -56,7 +56,6 @@ import argparse
 import os
 import sys
 
-from . import kernel
 from .collapse import CollapseRules
 from .core import MachineConfig, config_letters, paper_config, \
     simulate_many, simulate_trace
@@ -595,11 +594,6 @@ def build_parser():
         prog="repro",
         description="Data dependence speculation & collapsing (MICRO-29 "
                     "1996) reproduction toolkit")
-    parser.add_argument("--kernel", choices=list(kernel.KERNELS),
-                        default=None,
-                        help="computation kernel for analysis/predictor "
-                             "passes (default: $REPRO_KERNEL or auto; "
-                             "both kernels are exhibit-identical)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="show the workload suite")
@@ -760,8 +754,6 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.kernel is not None:
-        kernel.use_kernel(args.kernel)
     return _COMMANDS[args.command](args)
 
 

@@ -20,7 +20,6 @@ register *and* the condition codes) qualifies only if all its values are
 read by the same single instruction.
 """
 
-from .. import kernel
 from ..trace.records import ST
 
 _CC = 32
@@ -50,10 +49,15 @@ def compute_sole_readers(trace):
     -1 means the instruction's value(s) cannot justify elimination:
     no reader at all, more than one distinct reader, readers that differ
     between its written resources, or liveness past the end of the trace.
+    The vectorized pass is :func:`repro.core.nelim.sole_readers`.
     """
-    if kernel.use_numpy():
-        from .nelim import sole_readers
-        return sole_readers(trace)
+    from .nelim import sole_readers
+    return sole_readers(trace)
+
+
+def _walk_sole_readers(trace):
+    """:func:`compute_sole_readers` as one program-order walk over the
+    open definitions: the scalar reference of the vectorized pass."""
     static = trace.static
     sidx = trace.sidx
     dest_col = static.dest

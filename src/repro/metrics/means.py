@@ -66,9 +66,8 @@ def issue_distribution(result):
     ``issue_cycles`` (the default for direct simulations; the experiment
     runner drops them unless ``keep_schedules=True``).
     """
-    from collections import Counter
+    import numpy as np
 
-    from .. import kernel
     if result.issue_cycles is None:
         raise ReproError("result carries no schedule; simulate with "
                          "keep_schedules or use simulate_trace directly")
@@ -78,24 +77,31 @@ def issue_distribution(result):
     # issue_width instructions.
     eliminated = result.eliminated_positions
     total_cycles = max(1, result.cycles)
-    if kernel.use_numpy():
-        import numpy as np
-        cycles = np.asarray(result.issue_cycles, dtype=np.int64)
-        mask = cycles >= 0
-        if eliminated:
-            mask[np.fromiter(eliminated, dtype=np.int64,
-                             count=len(eliminated))] = False
-        per_cycle = np.bincount(cycles[mask])
-        busy = per_cycle[per_cycle > 0]
-        counts = np.bincount(busy) if busy.size else busy
-        idle = total_cycles - int(busy.shape[0])
-        distribution = {count: int(cycles_at)
-                        for count, cycles_at in enumerate(counts.tolist())
-                        if cycles_at and count}
-        if idle > 0:
-            distribution[0] = idle
-        return {count: cycles_at / total_cycles
-                for count, cycles_at in sorted(distribution.items())}
+    cycles = np.asarray(result.issue_cycles, dtype=np.int64)
+    mask = cycles >= 0
+    if eliminated:
+        mask[np.fromiter(eliminated, dtype=np.int64,
+                         count=len(eliminated))] = False
+    per_cycle = np.bincount(cycles[mask])
+    busy = per_cycle[per_cycle > 0]
+    counts = np.bincount(busy) if busy.size else busy
+    idle = total_cycles - int(busy.shape[0])
+    distribution = {count: int(cycles_at)
+                    for count, cycles_at in enumerate(counts.tolist())
+                    if cycles_at and count}
+    if idle > 0:
+        distribution[0] = idle
+    return {count: cycles_at / total_cycles
+            for count, cycles_at in sorted(distribution.items())}
+
+
+def _count_distribution(result):
+    """:func:`issue_distribution` counted per position: the scalar
+    reference of the vectorized count."""
+    from collections import Counter
+
+    eliminated = result.eliminated_positions
+    total_cycles = max(1, result.cycles)
     per_cycle = Counter(
         c for position, c in enumerate(result.issue_cycles)
         if c >= 0 and position not in eliminated)

@@ -1,40 +1,33 @@
-"""Binary save/load for dynamic traces (formats v1 and v2).
+"""Binary save/load for dynamic traces (format v2).
 
-Format **v1**, all little-endian, every block length-prefixed with a u32
-byte count:
+The format is the structure-of-arrays layout of
+:data:`repro.trace.soa.TRACE_DTYPES`, all little-endian:
 
-- 8-byte magic ``b"REPROTR1"``;
-- a JSON header block with trace name, version, and column counts;
-- the static table: the numeric columns (``cls``, ``lat``, ``dest``,
-  ``src1``, ``src2``, ``datasrc``, ``leaves``, ``zeros``, ``pc``) as
-  signed 8-byte (``array("q")``) dumps, the boolean columns
-  (``writes_cc``, ``reads_cc``, ``producer_ok``, ``consumer_ok``) as one
-  byte per entry, and the signature strings as one newline-joined UTF-8
-  blob;
-- the dynamic columns, in order: ``sidx`` (signed 8-byte ``"q"``),
-  ``eff_addr`` (signed 8-byte ``"q"``), ``taken`` (one byte per entry),
-  ``mem_value`` (signed 8-byte ``"q"``).
+- the 8-byte magic ``b"REPROTR2"``;
+- a u64 byte count, then that many bytes of UTF-8 JSON header: a JSON
+  object with ``version`` (2), ``name``, ``static_len``, ``dyn_len``
+  and ``columns``, which maps every block name to its ``offset`` (in
+  bytes past the first 64-byte boundary after the header), its element
+  ``count`` and its numpy ``dtype`` name;
+- the blocks, each one contiguous array at a 64-byte-aligned offset,
+  with u64 sizes throughout (no 4 GiB limit): the signatures as
+  ``sig_offsets`` (``int64``, ``static_len + 1`` byte offsets) into
+  ``sig_blob`` (``uint8``, the UTF-8 strings back to back, so a
+  signature may hold any character, newlines included); then the
+  static table, one block per column (``cls``, ``lat``, ``dest``,
+  ``src1``, ``src2``, ``datasrc``, ``leaves``, ``zeros``, ``pc`` as
+  ``int64``; ``writes_cc``, ``reads_cc``, ``producer_ok``,
+  ``consumer_ok`` as ``bool``, one byte per entry); then the dynamic
+  columns, ``sidx`` (``int64``), ``eff_addr`` (``int64``), ``taken``
+  (``bool``) and ``mem_value`` (``int64``).
 
-v1 is kept readable and writable (``save_trace(..., version=1)``) but
-has two structural limits this module now enforces instead of silently
-corrupting data: block payloads beyond the u32 length prefix (~4 GiB,
-reachable at scale ~1.0 column sizes) and signature strings containing
-``"\\n"`` (which would split into extra entries on reload) raise
-:class:`TraceFormatError` at save time.
-
-Format **v2** (the default) is the structure-of-arrays layout:
-
-- 8-byte magic ``b"REPROTR2"``, a u64 length-prefixed JSON header;
-- every column of :data:`repro.trace.soa.TRACE_DTYPES` written as one
-  contiguous little-endian block at a 64-byte-aligned offset recorded
-  in the header, with u64 sizes throughout (no 4 GiB limit);
-- signatures as an ``int64`` byte-offset array plus one UTF-8 blob
-  (length-prefixed strings — newlines need no special casing).
-
-Aligned blocks make a v2 file loadable zero-copy: :func:`load_trace`
-maps each column with ``np.memmap`` and attaches the mapped arrays as
-the trace's SoA snapshot, so the vectorized kernels read straight from
-the page cache.  Both writers are atomic (temp file + ``os.replace``).
+Aligned blocks make a file loadable zero-copy: :func:`load_trace` maps
+each column with ``np.memmap`` and attaches the mapped arrays as the
+trace's SoA snapshot, so the vectorized kernels read straight from the
+page cache.  The reader validates the header (its keys, every block's
+dtype, offset and count, the file size) and every ``sidx`` before it
+trusts them, raising :class:`TraceFormatError` for a malformed file.
+:func:`save_trace` is atomic (temp file + ``os.replace``).
 
 Traces regenerate quickly from workloads, so this exists mainly to let
 the benchmark harness and the experiment disk cache (``repro.cache``)
@@ -45,162 +38,45 @@ artifacts.
 import json
 import os
 import struct
-from array import array
 
-from .. import kernel
 from ..errors import TraceFormatError
 from ..fsutil import atomic_write
 from .records import DynTrace, StaticTable
 
-MAGIC = b"REPROTR1"
-MAGIC2 = b"REPROTR2"
+MAGIC = b"REPROTR2"
+#: magic of the retired format v1, recognised only to say so
+_MAGIC_V1 = b"REPROTR1"
 
-_U32_MAX = 0xFFFFFFFF
 _ALIGN = 64
 
-_STATIC_NUMERIC = ("cls", "lat", "dest", "src1", "src2", "datasrc",
-                   "leaves", "zeros", "pc")
-_STATIC_BOOL = ("writes_cc", "reads_cc", "producer_ok", "consumer_ok")
+#: block order after the signatures: every TRACE_DTYPES column, static
+#: then dynamic.
+_COLUMNS = ("cls", "lat", "dest", "src1", "src2", "datasrc", "leaves",
+            "zeros", "pc", "writes_cc", "reads_cc", "producer_ok",
+            "consumer_ok", "sidx", "eff_addr", "taken", "mem_value")
 
-#: v2 column order: every TRACE_DTYPES column, static then dynamic.
-_V2_COLUMNS = _STATIC_NUMERIC + _STATIC_BOOL + (
-    "sidx", "eff_addr", "taken", "mem_value")
-_V2_DYN = ("sidx", "eff_addr", "taken", "mem_value")
-
-
-# ----------------------------------------------------------------------
-# Format v1.
-# ----------------------------------------------------------------------
-
-def _write_block(handle, payload):
-    if len(payload) > _U32_MAX:
-        raise TraceFormatError(
-            "column block of %d bytes exceeds format v1's u32 length "
-            "prefix; save with version=2" % (len(payload),))
-    handle.write(struct.pack("<I", len(payload)))
-    handle.write(payload)
-
-
-def _read_block(handle):
-    raw = handle.read(4)
-    if len(raw) != 4:
-        raise TraceFormatError("truncated trace file (block header)")
-    (length,) = struct.unpack("<I", raw)
-    payload = handle.read(length)
-    if len(payload) != length:
-        raise TraceFormatError("truncated trace file (block payload)")
-    return payload
-
-
-def _check_sigs(sigs):
-    for index, sig in enumerate(sigs):
-        if "\n" in sig:
-            raise TraceFormatError(
-                "signature %d (%r) contains a newline, which the v1 "
-                "newline-joined blob cannot represent" % (index, sig))
-
-
-def _save_trace_v1(trace, path):
-    static = trace.static
-    _check_sigs(static.sig)
-    header = {
-        "name": trace.name,
-        "static_len": len(static),
-        "dyn_len": len(trace),
-        "version": 1,
-    }
-
-    def write(tmp_path):
-        with open(tmp_path, "wb") as handle:
-            handle.write(MAGIC)
-            _write_block(handle, json.dumps(header).encode("utf-8"))
-            for column in _STATIC_NUMERIC:
-                values = array("q", getattr(static, column))
-                _write_block(handle, values.tobytes())
-            for column in _STATIC_BOOL:
-                values = bytes(1 if flag else 0
-                               for flag in getattr(static, column))
-                _write_block(handle, values)
-            _write_block(handle, "\n".join(static.sig).encode("utf-8"))
-            _write_block(handle, array("q", trace.sidx).tobytes())
-            _write_block(handle, array("q", trace.eff_addr).tobytes())
-            _write_block(handle, bytes(1 if flag else 0
-                                       for flag in trace.taken))
-            _write_block(handle, array("q", trace.mem_value).tobytes())
-
-    atomic_write(path, write)
-
-
-def _load_trace_v1(handle):
-    header = json.loads(_read_block(handle).decode("utf-8"))
-    if header.get("version") != 1:
-        raise TraceFormatError(
-            "unsupported version: %r" % (header.get("version"),))
-    static = StaticTable()
-    for column in _STATIC_NUMERIC:
-        values = array("q")
-        values.frombytes(_read_block(handle))
-        setattr(static, column, list(values))
-    for column in _STATIC_BOOL:
-        setattr(static, column,
-                [byte != 0 for byte in _read_block(handle)])
-    sig_blob = _read_block(handle).decode("utf-8")
-    # An empty blob is ambiguous between no signatures and one empty
-    # signature; the header's static_len disambiguates (a table of N
-    # entries always serialises to N-1 newlines, so split() recovers
-    # empty strings correctly whenever the table is non-empty).
-    static.sig = sig_blob.split("\n") if header["static_len"] else []
-    lengths = {len(getattr(static, col))
-               for col in _STATIC_NUMERIC + _STATIC_BOOL + ("sig",)}
-    if lengths != {header["static_len"]}:
-        raise TraceFormatError("static column length mismatch")
-    trace = DynTrace(static, name=header.get("name", ""))
-    sidx = array("q")
-    sidx.frombytes(_read_block(handle))
-    trace.sidx = list(sidx)
-    eff = array("q")
-    eff.frombytes(_read_block(handle))
-    trace.eff_addr = list(eff)
-    trace.taken = [byte != 0 for byte in _read_block(handle)]
-    values = array("q")
-    values.frombytes(_read_block(handle))
-    trace.mem_value = list(values)
-    for column in ("sidx", "eff_addr", "taken", "mem_value"):
-        length = len(getattr(trace, column))
-        if length != header["dyn_len"]:
-            raise TraceFormatError(
-                "dynamic column %r length mismatch: %d != %d"
-                % (column, length, header["dyn_len"]))
-    return trace
-
-
-# ----------------------------------------------------------------------
-# Format v2.
-# ----------------------------------------------------------------------
 
 def _align(offset):
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
-def _v2_arrays(trace):
-    """(column -> ndarray) plus the signature offset/blob arrays."""
+def _blocks(trace):
+    """(block name, ndarray) in file order."""
     import numpy as np
     soa = trace.soa()
-    arrays = {col: soa.col(col) for col in _V2_COLUMNS}
     encoded = [sig.encode("utf-8") for sig in trace.static.sig]
     offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
     if encoded:
         offsets[1:] = np.cumsum([len(blob) for blob in encoded])
     blob = np.frombuffer(b"".join(encoded), dtype=np.uint8) \
         if encoded else np.empty(0, dtype=np.uint8)
-    return arrays, offsets, blob
+    return [("sig_offsets", offsets), ("sig_blob", blob)] \
+        + [(col, soa.col(col)) for col in _COLUMNS]
 
 
-def _save_trace_v2(trace, path):
-    arrays, sig_offsets, sig_blob = _v2_arrays(trace)
-    blocks = [("sig_offsets", sig_offsets), ("sig_blob", sig_blob)]
-    blocks += [(col, arrays[col]) for col in _V2_COLUMNS]
-
+def save_trace(trace, path):
+    """Serialise ``trace`` to ``path`` atomically."""
+    blocks = _blocks(trace)
     manifest = {}
     offset = 0
     for name, arr in blocks:
@@ -222,7 +98,7 @@ def _save_trace_v2(trace, path):
 
     def write(tmp_path):
         with open(tmp_path, "wb") as handle:
-            handle.write(MAGIC2)
+            handle.write(MAGIC)
             handle.write(struct.pack("<Q", len(header_blob)))
             handle.write(header_blob)
             data_start = _align(handle.tell())
@@ -234,43 +110,67 @@ def _save_trace_v2(trace, path):
     atomic_write(path, write)
 
 
-def _load_trace_v2(handle, path, mmap):
-    if not kernel.numpy_available():
-        raise TraceFormatError(
-            "trace file is format v2, which needs numpy to load "
-            "(unavailable); regenerate the trace or install numpy")
-    import numpy as np
+def _size(value, what):
+    """``value`` checked to be a non-negative JSON integer."""
+    if type(value) is not int or value < 0:
+        raise TraceFormatError("malformed header: %s is %r, not a "
+                               "non-negative integer" % (what, value))
+    return value
+
+
+def _read_header(handle, file_size):
     raw = handle.read(8)
     if len(raw) != 8:
-        raise TraceFormatError("truncated trace file (v2 header length)")
+        raise TraceFormatError("truncated trace file (header length)")
     (header_len,) = struct.unpack("<Q", raw)
-    header_blob = handle.read(header_len)
-    if len(header_blob) != header_len:
-        raise TraceFormatError("truncated trace file (v2 header)")
-    header = json.loads(header_blob.decode("utf-8"))
+    if 16 + header_len > file_size:
+        raise TraceFormatError("truncated trace file (header)")
+    try:
+        header = json.loads(handle.read(header_len).decode("utf-8"))
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise TraceFormatError("malformed header: %s" % (exc,))
+    if not isinstance(header, dict):
+        raise TraceFormatError("malformed header: not a JSON object")
     if header.get("version") != 2:
         raise TraceFormatError(
             "unsupported version: %r" % (header.get("version"),))
-    manifest = header["columns"]
-    data_start = _align(16 + header_len)
-    file_size = os.fstat(handle.fileno()).st_size
+    for key in ("name", "static_len", "dyn_len", "columns"):
+        if key not in header:
+            raise TraceFormatError("malformed header: no %r" % (key,))
+    if not isinstance(header["name"], str) \
+            or not isinstance(header["columns"], dict):
+        raise TraceFormatError("malformed header: bad 'name' or "
+                               "'columns'")
+    _size(header["static_len"], "static_len")
+    _size(header["dyn_len"], "dyn_len")
+    return header, _align(16 + header_len)
 
-    def column(name, expect_count=None, expect_dtype=None):
-        try:
-            meta = manifest[name]
-        except KeyError:
-            raise TraceFormatError("v2 header misses column %r" % (name,))
-        dtype = np.dtype(meta["dtype"])
-        if expect_dtype is not None and dtype != np.dtype(expect_dtype):
+
+def _load(handle, path, mmap):
+    import numpy as np
+
+    from .soa import DYN_COLUMNS, STATIC_COLUMNS, TRACE_DTYPES, TraceArrays
+
+    file_size = os.fstat(handle.fileno()).st_size
+    header, data_start = _read_header(handle, file_size)
+    manifest = header["columns"]
+
+    def column(name, dtype, expect_count=None):
+        meta = manifest.get(name)
+        if not isinstance(meta, dict):
+            raise TraceFormatError("header misses column %r" % (name,))
+        dtype = np.dtype(dtype)
+        if meta.get("dtype") != dtype.name:
             raise TraceFormatError(
-                "column %r has dtype %s, expected %s"
-                % (name, dtype, np.dtype(expect_dtype)))
-        count = int(meta["count"])
+                "column %r has dtype %r, expected %s"
+                % (name, meta.get("dtype"), dtype.name))
+        count = _size(meta.get("count"), "column %r count" % (name,))
         if expect_count is not None and count != expect_count:
             raise TraceFormatError(
                 "column %r length mismatch: %d != %d"
                 % (name, count, expect_count))
-        offset = data_start + int(meta["offset"])
+        offset = data_start + _size(meta.get("offset"),
+                                    "column %r offset" % (name,))
         if offset + count * dtype.itemsize > file_size:
             raise TraceFormatError(
                 "truncated trace file (column %r extends past EOF)"
@@ -287,25 +187,32 @@ def _load_trace_v2(handle, path, mmap):
                 "truncated trace file (column %r payload)" % (name,))
         return np.frombuffer(payload, dtype=dtype)
 
-    from .soa import DYN_COLUMNS, STATIC_COLUMNS, TRACE_DTYPES, TraceArrays
-    static_len = int(header["static_len"])
-    dyn_len = int(header["dyn_len"])
-    arrays = {name: column(name, static_len, TRACE_DTYPES[name])
+    static_len = header["static_len"]
+    dyn_len = header["dyn_len"]
+    arrays = {name: column(name, TRACE_DTYPES[name], static_len)
               for name in STATIC_COLUMNS}
-    arrays.update({name: column(name, dyn_len, TRACE_DTYPES[name])
+    arrays.update({name: column(name, TRACE_DTYPES[name], dyn_len)
                    for name in DYN_COLUMNS})
+    sidx = arrays["sidx"]
+    if dyn_len and (int(sidx.min()) < 0 or int(sidx.max()) >= static_len):
+        raise TraceFormatError(
+            "sidx outside the static table [0, %d)" % (static_len,))
 
-    sig_offsets = column("sig_offsets", static_len + 1 if static_len
-                         else None, np.int64)
-    sig_blob = column("sig_blob", None, np.uint8)
+    sig_offsets = column("sig_offsets", np.int64,
+                         static_len + 1 if static_len else None)
+    sig_blob = column("sig_blob", np.uint8)
     if static_len:
         bounds = sig_offsets.tolist()
         if bounds[0] != 0 or any(a > b for a, b in zip(bounds, bounds[1:])) \
                 or bounds[-1] != sig_blob.shape[0]:
-            raise TraceFormatError("malformed v2 signature offsets")
+            raise TraceFormatError("malformed signature offsets")
         blob_bytes = sig_blob.tobytes()
-        sigs = [blob_bytes[a:b].decode("utf-8")
-                for a, b in zip(bounds, bounds[1:])]
+        try:
+            sigs = [blob_bytes[a:b].decode("utf-8")
+                    for a, b in zip(bounds, bounds[1:])]
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError("malformed signature blob: %s"
+                                   % (exc,))
     else:
         sigs = []
 
@@ -313,7 +220,7 @@ def _load_trace_v2(handle, path, mmap):
     for name in STATIC_COLUMNS:
         setattr(static, name, arrays[name].tolist())
     static.sig = sigs
-    trace = DynTrace(static, name=header.get("name", ""))
+    trace = DynTrace(static, name=header["name"])
     for name in DYN_COLUMNS:
         setattr(trace, name, arrays[name].tolist())
     # Attach the (possibly memory-mapped) arrays as the SoA snapshot so
@@ -325,42 +232,17 @@ def _load_trace_v2(handle, path, mmap):
     return trace
 
 
-# ----------------------------------------------------------------------
-# Public entry points.
-# ----------------------------------------------------------------------
-
-def save_trace(trace, path, version=None):
-    """Serialise ``trace`` to ``path`` atomically.
-
-    ``version=2`` (the default whenever numpy is importable) writes the
-    aligned SoA format; ``version=1`` writes the legacy block format for
-    compatibility and is the fallback default when numpy is missing.
-    Requesting v2 explicitly without numpy raises
-    :class:`TraceFormatError`.
-    """
-    if version is None:
-        version = 2 if kernel.numpy_available() else 1
-    if version == 2:
-        if not kernel.numpy_available():
-            raise TraceFormatError(
-                "trace format v2 needs numpy (unavailable); "
-                "save with version=1")
-        _save_trace_v2(trace, path)
-    elif version == 1:
-        _save_trace_v1(trace, path)
-    else:
-        raise TraceFormatError("unknown trace format version: %r"
-                               % (version,))
-
-
 def load_trace(path, mmap=True):
-    """Load a trace previously written by :func:`save_trace` (either
-    format).  For v2 files ``mmap=True`` maps column blocks zero-copy;
-    ``mmap=False`` reads them into process memory instead."""
+    """Load a trace previously written by :func:`save_trace`.
+    ``mmap=True`` maps column blocks zero-copy; ``mmap=False`` reads
+    them into process memory instead."""
     with open(path, "rb") as handle:
         magic = handle.read(len(MAGIC))
         if magic == MAGIC:
-            return _load_trace_v1(handle)
-        if magic == MAGIC2:
-            return _load_trace_v2(handle, os.fspath(path), mmap)
+            return _load(handle, os.fspath(path), mmap)
+        if magic == _MAGIC_V1:
+            raise TraceFormatError(
+                "%s is trace format v1, which is no longer read; "
+                "regenerate it with `repro trace <workload> -o FILE`"
+                % (os.fspath(path),))
         raise TraceFormatError("bad magic: %r" % (magic,))

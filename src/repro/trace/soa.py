@@ -17,9 +17,9 @@ immutable afterwards).
 
 import numpy as np
 
-#: dtype schema of every serialised column, static then dynamic.  The
-#: int64/bool choice matches format v1's signed 8-byte / one-byte-flag
-#: encoding so both formats round-trip the same values.
+#: dtype schema of every serialised column, static then dynamic: int64
+#: holds every value the list columns carry (signed, up to 64 bits),
+#: bool one byte per flag.
 TRACE_DTYPES = {
     # static table ----------------------------------------------------
     "cls": np.int64,

@@ -16,7 +16,6 @@ cross-checks its per-site claims against, exactly as ``lint.addrclass``
 checks the address histograms.
 """
 
-from .. import kernel
 from ..addrpred.markov import HybridTable, MarkovTable
 from ..addrpred.runner import run_load_sweep, run_load_table
 from ..addrpred.two_delta import TwoDeltaTable
@@ -51,18 +50,17 @@ def run_value_predictor(trace, table=None, predictor="last", per_pc=False):
     :class:`~repro.addrpred.runner.PerPCStat` per static load PC in
     ``result.per_pc``.
 
-    With a default table every kind dispatches to its vectorized sweep
-    (:mod:`repro.vpred.nsweep`) under the numpy kernel; an explicit
-    ``table`` runs the sequential loop so its trained entries stay
-    observable.
+    With a default table every kind runs its vectorized sweep
+    (:mod:`repro.vpred.nsweep`); an explicit ``table`` runs the
+    sequential loop so its trained entries stay observable.
+    ``run_value_predictor(trace, make_value_table(kind), predictor=kind)``
+    is the sweep's scalar reference.
     """
     if predictor not in PREDICTORS:
         raise ValueError("unknown value predictor %r (expected one of %s)"
                          % (predictor, ", ".join(PREDICTORS)))
     if table is None:
-        if kernel.use_numpy():
-            from .nsweep import SWEEPS
-            return run_load_sweep(trace, "mem_value", SWEEPS[predictor],
-                                  per_pc, predictor)
-        table = make_value_table(predictor)
+        from .nsweep import SWEEPS
+        return run_load_sweep(trace, "mem_value", SWEEPS[predictor],
+                              per_pc, predictor)
     return run_load_table(trace, "mem_value", table, per_pc, predictor)

@@ -56,6 +56,24 @@ def test_unreadable_trace_entry_is_a_miss(cache):
     assert cache.load_trace("eqntott", 0.03).sidx == trace.sidx
 
 
+def test_corrupt_trace_header_is_a_miss_and_regenerates(cache):
+    """A cached trace whose header is garbage counts as a miss, and
+    get_trace writes a loadable trace back over it."""
+    import struct
+    path = cache.trace_path("eqntott", 0.03)
+    garbage = b"{not json"
+    with open(path, "wb") as handle:
+        handle.write(b"REPROTR2" + struct.pack("<Q", len(garbage))
+                     + garbage)
+    assert cache.load_trace("eqntott", 0.03) is None
+    assert cache.stats()["trace_misses"] == 1
+    trace = cached_trace("eqntott", 0.03)
+    regenerated = cache.get_trace("eqntott", 0.03, lambda: trace)
+    assert regenerated is trace
+    assert cache.load_trace("eqntott", 0.03).sidx == trace.sidx
+    assert cache.stats()["trace_hits"] == 1
+
+
 def test_get_trace_generates_once(cache):
     calls = []
 

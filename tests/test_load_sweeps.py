@@ -7,12 +7,10 @@ traces rarely hit: PCs that alias in the 4096-entry index, streams that
 wrap at 2**32, PCs seen only once or twice, and the empty stream.
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-np = pytest.importorskip("numpy", reason="the sweeps are numpy kernels",
-                         exc_type=ImportError)
 
 from repro.addrpred import (
     HybridTable,

@@ -1,12 +1,9 @@
-"""SoA trace snapshot + kernel-switch unit tests."""
+"""SoA trace snapshot unit tests."""
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy", reason="SoA snapshots need numpy", exc_type=ImportError)
-
-from repro import kernel
 from repro.analysis.depgraph import DependenceGraph
-from repro.errors import ConfigError
 from repro.trace.soa import (
     DYN_COLUMNS,
     STATIC_COLUMNS,
@@ -66,35 +63,6 @@ def test_gathered_matches_python_gather():
 def test_trace_arrays_function_is_entry_point():
     trace = random_trace(20, seed=15)
     assert trace_arrays(trace) is trace.soa()
-
-
-# ----------------------------------------------------------------------
-# Kernel switch.
-# ----------------------------------------------------------------------
-
-def test_kernel_override_restores(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    before = kernel.active_kernel()
-    with kernel.kernel_override("python"):
-        assert kernel.active_kernel() == "python"
-        assert not kernel.use_numpy()
-    assert kernel.active_kernel() == before
-
-
-def test_kernel_env_switch(monkeypatch):
-    kernel.use_kernel(None)
-    monkeypatch.setenv("REPRO_KERNEL", "python")
-    assert kernel.active_kernel() == "python"
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
-    assert kernel.active_kernel() == "numpy"
-
-
-def test_unknown_kernel_rejected(monkeypatch):
-    with pytest.raises(ConfigError):
-        kernel.use_kernel("cuda")
-    monkeypatch.setenv("REPRO_KERNEL", "fortran")
-    with pytest.raises(ConfigError):
-        kernel.active_kernel()
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_truncated_file_rejected(tmp_path):
 
 
 def test_magic_constant_stable():
-    assert MAGIC == b"REPROTR1"
+    assert MAGIC == b"REPROTR2"
 
 
 def test_round_trip_every_suite_workload(tmp_path):
@@ -90,17 +90,61 @@ def test_mem_value_length_mismatch_rejected(tmp_path):
         load_trace(path)
 
 
-def test_format_docstring_matches_bytes():
-    """The documented dynamic layout is the one written to disk: three
-    signed 8-byte columns (sidx, eff_addr, mem_value) plus packed taken
-    bytes."""
+def test_format_docstring_matches_bytes(tmp_path):
+    """The layout the module docstring documents is the one written to
+    disk: magic, u64 header length, JSON header, then every column at
+    its 64-byte-aligned offset past the header with the documented
+    dtype and count."""
+    import json
+    import struct
+
+    import numpy as np
+
     from repro.trace import io
-    doc = io.__doc__
-    for claim in ('``sidx`` (signed 8-byte ``"q"``)',
-                  '``eff_addr`` (signed 8-byte ``"q"``)',
-                  '``mem_value`` (signed 8-byte ``"q"``)',
-                  "``taken`` (one byte per entry)"):
-        assert claim in doc
+    doc = " ".join(io.__doc__.split())
+    for claim in ('magic ``b"REPROTR2"``', "a u64 byte count",
+                  "64-byte-aligned offset",
+                  "``sig_offsets`` (``int64``, ``static_len + 1``",
+                  "``sig_blob`` (``uint8``",
+                  "``sidx`` (``int64``)", "``eff_addr`` (``int64``)",
+                  "``taken`` (``bool``)", "``mem_value`` (``int64``)"):
+        assert claim in doc, claim
+    trace = random_trace(70, seed=9)
+    path = tmp_path / "t.bin"
+    save_trace(trace, path)
+    data = path.read_bytes()
+    assert data[:8] == b"REPROTR2"
+    (length,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16:16 + length].decode("utf-8"))
+    assert {key: header[key] for key in ("version", "name", "static_len",
+                                         "dyn_len")} \
+        == {"version": 2, "name": trace.name,
+            "static_len": len(trace.static), "dyn_len": len(trace)}
+    data_start = (16 + length + 63) // 64 * 64
+
+    def block(name, dtype, count):
+        meta = header["columns"][name]
+        assert meta["offset"] % 64 == 0, name
+        assert (meta["dtype"], meta["count"]) \
+            == (np.dtype(dtype).name, count), name
+        start = data_start + meta["offset"]
+        return np.frombuffer(data, dtype=np.dtype(dtype).newbyteorder("<"),
+                             count=count, offset=start).tolist()
+
+    for name in ("sidx", "eff_addr", "mem_value"):
+        assert block(name, np.int64, len(trace)) == getattr(trace, name)
+    assert block("taken", np.bool_, len(trace)) == trace.taken
+    for name in ("cls", "lat", "dest", "src1", "src2", "datasrc",
+                 "leaves", "zeros", "pc"):
+        assert block(name, np.int64, len(trace.static)) \
+            == getattr(trace.static, name), name
+    for name in ("writes_cc", "reads_cc", "producer_ok", "consumer_ok"):
+        assert block(name, np.bool_, len(trace.static)) \
+            == getattr(trace.static, name), name
+    offsets = block("sig_offsets", np.int64, len(trace.static) + 1)
+    blob = bytes(block("sig_blob", np.uint8, offsets[-1]))
+    assert [blob[a:b].decode("utf-8")
+            for a, b in zip(offsets, offsets[1:])] == trace.static.sig
 
 
 def test_empty_trace_round_trip(tmp_path):

@@ -1,35 +1,31 @@
-"""Format v2 + v1-fix round-trip tests (property-based where it pays).
+"""Trace format v2 round-trip and validation tests (property-based where
+it pays).
 
-Covers the trace-I/O satellite fixes of the SoA PR:
-
-- the v1 empty-signature ambiguity (a one-entry static table whose only
-  signature is ``""`` used to reload as zero signatures and fail the
-  length check);
-- newline-bearing signatures are rejected at v1 save time instead of
-  corrupting the blob, and round-trip fine through v2's length-prefixed
-  encoding;
-- the v1 u32 block-length ceiling raises a clear error instead of
-  writing a wrapped length;
-- v1 -> v2 migration preserves every column bit-exactly;
-- v2 files load zero-copy (memmap) and eagerly (mmap=False) to the same
-  trace.
+- every trace round-trips bit-exactly, memory-mapped and read eagerly;
+- signatures survive as length-prefixed strings: one or several empty
+  signatures, and signatures holding a newline;
+- saves are atomic;
+- blocks are 64-byte aligned and load zero-copy (memmap);
+- a file of the retired format v1, a truncated file and every kind of
+  malformed header or out-of-range ``sidx`` raise
+  :class:`TraceFormatError`.
 """
 
-import pytest
+import json
+import struct
 
-np = pytest.importorskip("numpy", reason="format v2 needs numpy", exc_type=ImportError)
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
-from repro.trace.io import MAGIC2, _write_block, load_trace, save_trace
+from repro.trace.io import MAGIC, load_trace, save_trace
 from repro.trace.records import AR, BRC, LD, ST, DynTrace, StaticTable
 from repro.trace.synth import random_trace
 
 _I64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
-_SIG = st.text(
-    st.characters(max_codepoint=0x2FF, blacklist_characters="\n"),
-    max_size=6)
+_SIG = st.text(st.characters(max_codepoint=0x2FF), max_size=6)
 
 
 @st.composite
@@ -69,80 +65,52 @@ def _assert_equal(loaded, trace):
 
 
 @settings(max_examples=30, deadline=None)
-@given(trace=traces(), version=st.sampled_from((1, 2)),
-       mmap=st.booleans())
-def test_round_trip_property(tmp_path_factory, trace, version, mmap):
+@given(trace=traces(), mmap=st.booleans())
+def test_round_trip_property(tmp_path_factory, trace, mmap):
     path = tmp_path_factory.mktemp("rt") / "t.trace"
-    save_trace(trace, path, version=version)
+    save_trace(trace, path)
     _assert_equal(load_trace(path, mmap=mmap), trace)
 
 
-@settings(max_examples=15, deadline=None)
-@given(trace=traces())
-def test_v1_to_v2_migration_property(tmp_path_factory, trace):
-    base = tmp_path_factory.mktemp("mig")
-    save_trace(trace, base / "v1.trace", version=1)
-    migrated = load_trace(base / "v1.trace")
-    save_trace(migrated, base / "v2.trace", version=2)
-    _assert_equal(load_trace(base / "v2.trace"), trace)
+def _round_trip_sigs(tmp_path, sigs):
+    static = StaticTable()
+    for _ in sigs:
+        static.add(cls=AR, dest=1)
+    static.sig = list(sigs)
+    path = tmp_path / "t.trace"
+    save_trace(DynTrace(static), path)
+    return load_trace(path).static.sig
 
 
 def test_single_empty_signature_round_trips_v1(tmp_path):
-    """Regression: sig == [""] used to reload as [] and fail the static
-    length check (empty blob vs. one empty string)."""
-    static = StaticTable()
-    static.add(cls=AR, dest=1)
-    static.sig = [""]
-    trace = DynTrace(static, name="empty-sig")
-    for version in (1, 2):
-        path = tmp_path / ("v%d.trace" % version)
-        save_trace(trace, path, version=version)
-        assert load_trace(path).static.sig == [""]
+    """Regression from format v1, whose newline-joined blob reloaded
+    sig == [""] as [] and failed the static length check; the
+    length-prefixed signatures keep it."""
+    assert _round_trip_sigs(tmp_path, [""]) == [""]
 
 
 def test_all_empty_signatures_round_trip(tmp_path):
-    static = StaticTable()
-    for _ in range(3):
-        static.add(cls=AR, dest=1)
-    static.sig = ["", "", ""]
-    trace = DynTrace(static)
-    for version in (1, 2):
-        path = tmp_path / ("v%d.trace" % version)
-        save_trace(trace, path, version=version)
-        assert load_trace(path).static.sig == ["", "", ""]
+    assert _round_trip_sigs(tmp_path, ["", "", ""]) == ["", "", ""]
 
 
 def test_newline_signature_rejected_in_v1(tmp_path):
-    static = StaticTable()
-    static.add(cls=AR, dest=1)
-    static.sig = ["ar\nri"]
-    trace = DynTrace(static)
-    with pytest.raises(TraceFormatError, match="newline"):
-        save_trace(trace, tmp_path / "t.trace", version=1)
-    # The length-prefixed v2 encoding represents it fine.
-    save_trace(trace, tmp_path / "t2.trace", version=2)
-    assert load_trace(tmp_path / "t2.trace").static.sig == ["ar\nri"]
+    """Format v1 had to reject a signature holding a newline; the
+    length-prefixed encoding represents it."""
+    assert _round_trip_sigs(tmp_path, ["ar\nri"]) == ["ar\nri"]
 
 
-def test_v1_block_length_overflow_rejected():
-    class _Huge:
-        def __len__(self):
-            return 0x100000000  # one byte past the u32 prefix
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch):
+    """Atomicity: a save that fails after writing the magic and header
+    leaves neither the target nor its temp file behind."""
+    from repro.trace import io
 
-    with pytest.raises(TraceFormatError, match="version=2"):
-        _write_block(None, _Huge())
+    def disk_full(_):
+        raise OSError(28, "No space left on device")
 
-
-def test_failed_save_leaves_no_partial_file(tmp_path):
-    """Atomicity: a save that raises must not leave the target behind."""
-    static = StaticTable()
-    static.add(cls=AR, dest=1)
-    static.sig = ["bad\nsig"]
-    trace = DynTrace(static)
+    monkeypatch.setattr(io, "memoryview", disk_full, raising=False)
     target = tmp_path / "t.trace"
-    with pytest.raises(TraceFormatError):
-        save_trace(trace, target, version=1)
-    assert not target.exists()
+    with pytest.raises(OSError, match="No space"):
+        save_trace(random_trace(40, seed=3), target)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -155,19 +123,12 @@ def test_save_overwrites_atomically(tmp_path):
     assert len(load_trace(path)) == len(second)
 
 
-def test_unknown_version_rejected(tmp_path):
-    with pytest.raises(TraceFormatError, match="version"):
-        save_trace(random_trace(10, seed=0), tmp_path / "t", version=3)
-
-
 def test_v2_magic_and_alignment(tmp_path):
     trace = random_trace(50, seed=4)
     path = tmp_path / "t.trace"
     save_trace(trace, path)
     data = path.read_bytes()
-    assert data[:8] == MAGIC2
-    import json
-    import struct
+    assert data[:8] == MAGIC
     (header_len,) = struct.unpack("<Q", data[8:16])
     header = json.loads(data[16:16 + header_len].decode("utf-8"))
     assert header["version"] == 2
@@ -207,10 +168,90 @@ def test_v2_truncated_column_rejected(tmp_path):
 
 
 def test_v2_is_default_and_v1_still_loads(tmp_path):
+    """Saves write v2; a format-v1 file is rejected with the command
+    that regenerates it."""
     trace = random_trace(30, seed=7)
-    default_path = tmp_path / "default.trace"
-    save_trace(trace, default_path)
-    assert default_path.read_bytes()[:8] == MAGIC2
+    path = tmp_path / "default.trace"
+    save_trace(trace, path)
+    assert path.read_bytes()[:8] == MAGIC
     v1_path = tmp_path / "v1.trace"
-    save_trace(trace, v1_path, version=1)
-    _assert_equal(load_trace(v1_path), trace)
+    v1_path.write_bytes(b"REPROTR1" + path.read_bytes()[8:])
+    with pytest.raises(TraceFormatError,
+                       match=r"v1.*no longer read.*repro trace"):
+        load_trace(v1_path)
+
+
+# ----------------------------------------------------------------------
+# Malformed files.
+# ----------------------------------------------------------------------
+
+def _align(offset):
+    return (offset + 63) & ~63
+
+
+def _header_of(data):
+    """(header dict, data start) of a saved file."""
+    (length,) = struct.unpack("<Q", data[8:16])
+    return json.loads(data[16:16 + length]), _align(16 + length)
+
+
+def _with_header(data, header_blob):
+    """``data`` (a saved file) with its header replaced by
+    ``header_blob``, the column blocks moved to the new data start."""
+    blocks = data[_header_of(data)[1]:]
+    head = data[:8] + struct.pack("<Q", len(header_blob)) + header_blob
+    return head + b"\0" * (_align(len(head)) - len(head)) + blocks
+
+
+def _edited(edit):
+    """A file whose JSON header ``edit`` mutates in place."""
+    def build(data):
+        header, _ = _header_of(data)
+        edit(header)
+        return _with_header(data, json.dumps(header).encode("utf-8"))
+    return build
+
+
+def _first_sidx(value):
+    """A file whose first ``sidx`` entry is ``value(static_len)``."""
+    def build(data):
+        header, data_start = _header_of(data)
+        at = data_start + header["columns"]["sidx"]["offset"]
+        return data[:at] + struct.pack("<q", value(header["static_len"])) \
+            + data[at + 8:]
+    return build
+
+
+MALFORMED = {
+    "header-not-json": lambda data: _with_header(data, b"{not json"),
+    "header-not-utf8": lambda data: _with_header(data, b"\xff\xfe{}"),
+    "header-json-list": lambda data: _with_header(data, b"[2]"),
+    "header-past-eof": lambda data: data[:8] + struct.pack("<Q", 2 ** 63)
+    + data[16:],
+    "unknown-version": _edited(lambda h: h.update(version=3)),
+    "no-columns": _edited(lambda h: h.pop("columns")),
+    "no-static_len": _edited(lambda h: h.pop("static_len")),
+    "no-name": _edited(lambda h: h.pop("name")),
+    "columns-not-object": _edited(lambda h: h.update(columns=[])),
+    "negative-dyn_len": _edited(lambda h: h.update(dyn_len=-1)),
+    "unknown-dtype": _edited(
+        lambda h: h["columns"]["sidx"].update(dtype="int65")),
+    "negative-count": _edited(
+        lambda h: h["columns"]["sig_blob"].update(count=-1)),
+    "negative-offset": _edited(
+        lambda h: h["columns"]["sidx"].update(offset=-64)),
+    "string-offset": _edited(
+        lambda h: h["columns"]["sidx"].update(offset="0")),
+    "sidx-past-static-table": _first_sidx(lambda static_len: static_len),
+    "sidx-negative": _first_sidx(lambda static_len: -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_v2_rejected(tmp_path, case):
+    path = tmp_path / "t.trace"
+    save_trace(random_trace(40, seed=8), path)
+    path.write_bytes(MALFORMED[case](path.read_bytes()))
+    for mmap in (True, False):
+        with pytest.raises(TraceFormatError):
+            load_trace(path, mmap=mmap)
