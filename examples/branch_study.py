@@ -70,7 +70,9 @@ def main():
     print()
 
     # -- the proof: the soundness chain --------------------------------
-    check = branchflow_cross_check(analysis, trace, widest=width)
+    sims = {"C": simulate_trace(trace, paper_config("C", width)),
+            "I": base, "J": ldbp}
+    check = branchflow_cross_check(analysis, trace, sim_results=sims)
     print("cross-check: %s (%d sites, %d trip floors; ceiling %.4f >= "
           "accuracy %.4f >= early coverage %.4f)"
           % ("ok" if check.ok else "FAILED", check.sites,

@@ -87,8 +87,11 @@ def main():
     print()
 
     # -- the proof: static claims vs dynamic behaviour ------------------
-    check = valueflow_cross_check(valueflow, trace,
-                                  recurrence=recurrence, widest=64)
+    widest = 64
+    check = valueflow_cross_check(
+        valueflow, trace, recurrence=recurrence,
+        sim_ipc=simulate_trace(trace, paper_config("I", widest)).ipc,
+        widest=widest)
     print("cross-check: %s (%d site(s) checked, steady accuracy %.3f; "
           "coverage %.3f within bound %.3f)"
           % ("ok" if check.ok else "FAILED", check.checked_sites,

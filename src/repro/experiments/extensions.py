@@ -141,9 +141,8 @@ def recurrence_bounds(runner):
     stride/invariant-predictable producers), the sound envelope of
     configuration I's squash/replay speculation.
     """
-    from ..lint.ipcbound import SIM_LETTERS, recurrence_cross_check
-    from ..lint.recurrence import VARIANTS, RecurrenceAnalysis
-    from ..workloads.registry import get_workload
+    from ..lint.ipcbound import SIM_LETTERS
+    from ..lint.recurrence import VARIANTS
     width = runner.widths[-1]
     graph_keys = ("A", "C", "E", "E_ideal", "V")
     headers = (["workload", "loops"]
@@ -155,28 +154,20 @@ def recurrence_bounds(runner):
     rows = []
     for name in runner.names:
         def compute(name=name):
-            program = get_workload(name).build(scale=runner.scale)
-            trace = runner.trace(name)
-            analysis = RecurrenceAnalysis(program)
-            check = recurrence_cross_check(analysis, trace,
-                                           simulate=False)
+            # The whole soundness chain of `repro lint --recur-check`,
+            # against this runner's cells at the widest machine.
+            check = runner.lint_check("recurrence", name, width)
             return [check.n, check.loops_checked,
                     [check.static_floor[v] for v in VARIANTS],
-                    [check.cp[k] for k in graph_keys],
-                    len(check.violations)]
+                    [check.cp[k] for k in graph_keys], check.ok]
 
-        n, loops, floors, paths, violations = runner.cached_blob(
+        n, loops, floors, paths, ok = runner.cached_blob(
             "recurrence-bounds",
             {"name": name, "scale": repr(runner.scale),
-             "variants": "".join(VARIANTS)}, compute)
+             "variants": "".join(VARIANTS), "width": width}, compute)
         graph_ipc = [n / cp if cp else 0.0 for cp in paths]
         sims = [runner.result(name, SIM_LETTERS[v], width).ipc
                 for v in VARIANTS]
-        ok = not violations
-        for limit, sim in zip((graph_ipc[0], graph_ipc[1],
-                               graph_ipc[3], graph_ipc[4]), sims):
-            if limit * (1 + 1e-9) < sim:
-                ok = False
         rows.append([name, loops]
                     + [(n / f if f else "inf") for f in floors]
                     + graph_ipc + sims

@@ -242,24 +242,15 @@ def _extension_sections(runner):
 def _addr_class_section(runner):
     """Static load-address classification vs dynamic predictor, per
     workload (docs/LINT.md, ``repro lint --addr-check``)."""
-    from ..addrpred import run_address_predictor
-    from ..lint.addrclass import (
-        ALL_CLASSES,
-        AddressClassification,
-        cross_check,
-    )
+    from ..lint.addrclass import ALL_CLASSES
     from ..metrics import render_table
-    from ..workloads.registry import get_workload
+    width = runner.widths[-1]
     headers = ["workload"] + list(ALL_CLASSES) \
         + ["static bound", "dynamic cov", "steady acc", "check"]
     rows = []
     for name in runner.names:
-        program = get_workload(name).build(scale=runner.scale)
-        classification = AddressClassification(program)
-        trace = runner.trace(name)
-        prediction = run_address_predictor(trace, per_pc=True)
-        check = cross_check(classification, trace, prediction)
-        counts = classification.class_counts()
+        counts = runner.lint(name).analyses["addr-class"].class_counts()
+        check = runner.lint_check("addr-class", name, width)
         rows.append([name] + [counts[cls] for cls in ALL_CLASSES]
                     + ["%.3f" % check.coverage_bound,
                        "%.3f" % check.dynamic_coverage,
@@ -308,25 +299,14 @@ def _valueflow_section(runner):
     """Static result-value classification vs the stride value predictor
     and the variant-V/config-I chain (docs/LINT.md,
     ``repro lint --value-check``)."""
-    from ..lint.recurrence import RecurrenceAnalysis
-    from ..lint.valueflow import ValueFlowAnalysis, valueflow_cross_check
     from ..metrics import render_table
-    from ..vpred.runner import run_value_predictor
-    from ..workloads.registry import get_workload
     width = runner.widths[-1]
     headers = ["workload", "sites", "cov bound", "dynamic cov",
                "ceiling V", "graph V", "I @ widest", "check"]
     rows = []
     for name in runner.names:
-        program = get_workload(name).build(scale=runner.scale)
-        valueflow = ValueFlowAnalysis(program)
-        recurrence = RecurrenceAnalysis(program, valueflow=valueflow)
-        trace = runner.trace(name)
-        prediction = run_value_predictor(trace, predictor="stride",
-                                         per_pc=True)
-        check = valueflow_cross_check(
-            valueflow, trace, result=prediction, recurrence=recurrence,
-            sim_ipc=runner.result(name, "I", width).ipc, widest=width)
+        valueflow = runner.lint(name).analyses["valueflow"]
+        check = runner.lint_check("valueflow", name, width)
         ceiling = "%.2f" % (check.static_bound,) \
             if check.static_bound is not None else "inf"
         rows.append([name, len(valueflow.sites),
@@ -358,29 +338,15 @@ def _branchflow_section(runner):
     """Static branch-predictability classification vs the combining
     predictor and the config-J chain (docs/LINT.md,
     ``repro lint --branch-check``)."""
-    from ..bpred.runner import run_branch_predictor
-    from ..lint.branchflow import (
-        ALL_BRANCH_CLASSES,
-        BranchFlowAnalysis,
-        branchflow_cross_check,
-    )
+    from ..lint.branchflow import ALL_BRANCH_CLASSES
     from ..metrics import render_table
-    from ..workloads.registry import get_workload
     width = runner.widths[-1]
     headers = ["workload"] + list(ALL_BRANCH_CLASSES) \
         + ["cov bound", "ceiling", "accuracy", "early cov", "check"]
     rows = []
     for name in runner.names:
-        program = get_workload(name).build(scale=runner.scale)
-        branchflow = BranchFlowAnalysis(program)
-        trace = runner.trace(name)
-        prediction = run_branch_predictor(trace, per_pc=True)
-        sims = {letter: runner.result(name, letter, width)
-                for letter in ("C", "I", "J")}
-        check = branchflow_cross_check(branchflow, trace,
-                                       result=prediction,
-                                       sim_results=sims, widest=width)
-        counts = branchflow.class_counts()
+        counts = runner.lint(name).analyses["branchflow"].class_counts()
+        check = runner.lint_check("branchflow", name, width)
         early = "%.3f" % check.early_coverage \
             if check.early_coverage is not None else "-"
         rows.append([name] + [counts[cls] for cls in ALL_BRANCH_CLASSES]
@@ -413,18 +379,14 @@ def _branchflow_section(runner):
 def _dae_section(runner):
     """Static access/execute slicing vs the decoupled machine H
     (docs/LINT.md, ``repro lint --dae-check``)."""
-    from ..lint.dae import DAEAnalysis, dae_cross_check
     from ..metrics import render_table
-    from ..workloads.registry import get_workload
     width = runner.widths[-1]
     headers = ["workload", "loops", "clean", "poisoned", "skipped",
                "queued", "depth bound", "peak q", "chase deps", "check"]
     rows = []
     for name in runner.names:
-        program = get_workload(name).build(scale=runner.scale)
-        analysis = DAEAnalysis(program)
-        result = runner.result(name, "H", width)
-        check = dae_cross_check(analysis, runner.trace(name), result)
+        analysis = runner.lint(name).analyses["dae"]
+        check = runner.lint_check("dae", name, width)
         rows.append([name, check.loops_checked, check.clean_loops,
                      check.poisoned_loops, check.skipped_loops,
                      check.queued_loops,

@@ -4,7 +4,9 @@ and an optional persistent disk cache.
 All paper exhibits share (trace, configuration) simulation results; the
 runner caches them in memory so regenerating every figure and table
 costs each simulation once.  Branch- and address-prediction passes are
-likewise cached per trace (they are configuration independent).
+likewise cached per trace (they are configuration independent), and so
+is each workload's lint report, which every lint check run on the
+runner shares.
 
 Two optional layers sit under the in-memory memo:
 
@@ -91,6 +93,7 @@ class ExperimentRunner:
         self._branch = {}
         self._loads = {}
         self._values = {}       # (name, predictor kind) -> vpred pass
+        self._lint = {}         # name -> LintReport
 
     # ------------------------------------------------------------------
 
@@ -133,6 +136,21 @@ class ExperimentRunner:
             self._values[key] = value_outcomes(self.trace(name),
                                                predictor=kind)
         return self._values[key]
+
+    def lint(self, name):
+        """The workload's lint report at this runner's scale, memoised:
+        every check run on this runner shares one run of the passes."""
+        if name not in self._lint:
+            from ..lint.analyzer import lint_workload
+            self._lint[name] = lint_workload(name, scale=self.scale)
+        return self._lint[name]
+
+    def lint_check(self, pass_name, name, width):
+        """Registered lint pass ``pass_name``'s check of workload
+        ``name``, against this runner's trace and cells at ``width``."""
+        from ..lint.registry import LINT_PASSES
+        return LINT_PASSES[pass_name].check.run(self.lint(name), self,
+                                                name, width)
 
     def _dae_plan(self, name, config):
         """Static decoupling plan for configuration-H cells; the plan

@@ -3,49 +3,16 @@
 Two halves share this package:
 
 - the **static analyzer** (:func:`lint_program` and friends) builds a
-  CFG over assembled programs and runs dataflow checks — uninitialized
-  register reads, dead register writes, unreachable code, fallthrough
-  past ``.text``, condition-code def-use — plus a static
-  collapsing-opportunity pass (:class:`StaticCollapseBound`) whose
-  per-program upper bound is cross-checkable against the simulator's
-  dynamic :class:`~repro.collapse.stats.CollapseStats`, and a
-  loop/induction-variable pass (:class:`LoopForest`,
-  :class:`AddressClassification`) that classifies every static load's
-  address predictability and cross-checks it (:func:`cross_check`,
-  CLI flag ``--addr-check``) against per-PC two-delta predictor
-  histograms, and a loop-recurrence pass
-  (:class:`RecurrenceAnalysis`, CLI flag ``--recur``) that derives
-  static per-loop recMII / IPC ceilings under base, collapsed and
-  d-speculated dependence-graph variants and cross-checks the whole
-  static -> dataflow -> simulator chain
-  (:func:`recurrence_cross_check`, CLI flag ``--recur-check``), and a
-  memory-dependence pass (:class:`MemDepBound`, CLI flag ``--memdep``)
-  that resolves every load/store address to a bounded congruence form
-  and emits the may-alias conflict-pair set — cross-checked
-  (:func:`memdep_cross_check`, CLI flag ``--memdep-check``) against
-  the trace's word-granular store->load dependences and the violation
-  pairs an MDPT (config F) simulation learns, and a decoupled
-  access/execute slicing pass (:class:`DAEAnalysis`, CLI flag
-  ``--dae``) that computes each innermost loop's backward address
-  cones, classifies it clean / chase-poisoned / skipped, derives the
-  access-slice fraction and a minimum FIFO queue depth from the
-  recMII gap, and proves (:func:`dae_cross_check`, CLI flag
-  ``--dae-check``) that statically-clean loops never incur a dynamic
-  chase stall and that dynamic peak queue occupancy stays within the
-  static depth bound on a configuration-H run, and a
-  branch-predictability pass (:class:`BranchFlowAnalysis`, CLI flag
-  ``--branch``) that classifies every conditional branch per innermost
-  loop into a sound lattice (trip / exit / invariant / periodic /
-  history / load / straight / unknown), recovers IV-governed trip
-  counts, derives cold-start misprediction floors and accuracy
-  ceilings, and proves them (:func:`branchflow_cross_check`, CLI flag
-  ``--branch-check``) against per-PC combining-predictor histograms
-  plus a config-J (load-driven exit-branch prediction) simulation.
-  Passes themselves sit
-  on a declarative registry (:func:`register_lint_pass` /
-  :func:`lint_passes`): the driver iterates registered passes in
-  order, so new analyses hook into ``repro lint --all``
-  structurally;
+  CFG over assembled programs and runs every pass on the declarative
+  registry (:func:`register_lint_pass` / :func:`lint_passes`): the
+  dataflow checks (uninitialized register reads, dead register writes,
+  unreachable code, fallthrough past ``.text``, condition-code def-use)
+  and the analyses each speculation mechanism is proved against —
+  collapse bound, address/value/branch classes, loop recurrences, the
+  may-alias conflict set and access/execute slices.  A pass declares
+  its ``repro lint`` table and its static-vs-dynamic check (a
+  ``*_cross_check``) on the registry; ``repro lint --list`` prints the
+  passes with their flags;
 - the **runtime sanitizer** (:class:`SchedulerSanitizer`, CLI flag
   ``--sanitize``) instruments the window scheduler to assert the model
   invariants every cycle and raises :class:`SanitizeError` on any
@@ -81,7 +48,11 @@ from .branchflow import (
     branchflow_cross_check,
 )
 from .cfg import ControlFlowGraph
-from .collapse_bound import StaticCollapseBound
+from .collapse_bound import (
+    CollapseCheck,
+    StaticCollapseBound,
+    collapse_cross_check,
+)
 from .cycles import elementary_cycles
 from .dae import (
     DAEAnalysis,
@@ -100,8 +71,10 @@ from .loops import DominatorTree, Loop, LoopForest
 from .memdep import MemDepBound, MemDepCheck, memdep_cross_check
 from .recurrence import LoopRecurrence, RecurrenceAnalysis
 from .registry import (
+    LintCheck,
     LintContext,
     LintPass,
+    LintTable,
     lint_passes,
     register_lint_pass,
     unregister_lint_pass,
@@ -127,15 +100,18 @@ __all__ = [
     "BranchPlan",
     "BranchSite",
     "BranchflowCheck",
+    "CollapseCheck",
     "ControlFlowGraph",
     "DAEAnalysis",
     "DAECheck",
     "DAEPlan",
     "DominatorTree",
     "Finding",
+    "LintCheck",
     "LintContext",
     "LintPass",
     "LintReport",
+    "LintTable",
     "LINT_CHECKS",
     "Loop",
     "LoopForest",
@@ -160,6 +136,7 @@ __all__ = [
     "check_addr_untracked",
     "class_join",
     "class_leq",
+    "collapse_cross_check",
     "cross_check",
     "dae_cross_check",
     "elementary_cycles",

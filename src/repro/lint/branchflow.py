@@ -679,16 +679,15 @@ class BranchflowCheck:
 
 
 def branchflow_cross_check(branchflow, trace, result=None,
-                           sim_results=None, widest=2048, simulate=True,
+                           sim_results=None,
                            table_entries=_PC_TABLE_ENTRIES):
     """Prove the static branch claims against dynamic evidence.
 
     ``result`` is a :class:`repro.bpred.runner.BranchRunResult` with
-    per-PC histograms (computed here when absent).  ``sim_results`` may
-    supply precomputed ``{"C": .., "I": .., "J": ..}`` simulations at
-    the widest machine; otherwise they are simulated here unless
-    ``simulate`` is False, which skips the fetch-side and config-J
-    links.
+    per-PC histograms (computed here when absent).  ``sim_results``
+    supplies the ``{"C": .., "I": .., "J": ..}`` simulations of one
+    issue width (config J run with this analysis's plan); without it
+    the fetch-side and config-J links are skipped.
 
     Checks, in soundness-chain order:
 
@@ -766,20 +765,7 @@ def branchflow_cross_check(branchflow, trace, result=None,
             % (check.ceiling, check.accuracy))
 
     # ---- links 4 and 5: simulated fetch floor and config J
-    plan = branchflow.plan()
-    check.plan_branches = len(plan.resolves)
-    if sim_results is None and simulate:
-        from ..core.config import paper_config
-        from ..core.simulator import simulate_trace
-        sim_results = {
-            "C": simulate_trace(trace, paper_config("C", widest),
-                                branch_result=result),
-            "I": simulate_trace(trace, paper_config("I", widest),
-                                branch_result=result),
-            "J": simulate_trace(trace, paper_config("J", widest),
-                                branch_result=result,
-                                branch_plan=plan),
-        }
+    check.plan_branches = len(branchflow.plan().resolves)
     if sim_results:
         check.sim = dict(sim_results)
         from .ipcbound import fetch_refined_ipc

@@ -191,4 +191,33 @@ class StaticCollapseBound:
         return rows
 
 
-__all__ = ["StaticCollapseBound"]
+class CollapseCheck:
+    """Result of :func:`collapse_cross_check` for one program/trace."""
+
+    __slots__ = ("violations", "bound", "events")
+
+    def __init__(self, bound, events):
+        self.violations = []
+        self.bound = bound
+        self.events = events
+
+    @property
+    def ok(self):
+        return not self.violations
+
+
+def collapse_cross_check(bound, trace, result):
+    """Verify ``static bound >= dynamic collapse events``: ``bound`` is
+    the program's :class:`StaticCollapseBound`, ``result`` a collapsing
+    simulation of ``trace``."""
+    check = CollapseCheck(bound.bound_for_trace(trace),
+                          result.collapse.events)
+    if check.bound < check.events:
+        check.violations.append(
+            "static collapse bound %d < dynamic collapse events %d — "
+            "the scheduler merged an arc the static rules exclude"
+            % (check.bound, check.events))
+    return check
+
+
+__all__ = ["CollapseCheck", "StaticCollapseBound", "collapse_cross_check"]

@@ -5,7 +5,7 @@ line (the assembler threads line numbers onto every
 :class:`~repro.isa.instruction.Instruction`, so findings on assembled
 programs always point back at the ``.s`` source).  A
 :class:`LintReport` collects the findings for one lint target plus the
-static collapse-opportunity summary, and renders them in the
+analysis each registered pass published, and renders the findings in the
 conventional ``file:line: severity: [check] message`` compiler format.
 """
 
@@ -52,20 +52,9 @@ class LintReport:
     def __init__(self, target, findings=None):
         self.target = target
         self.findings = sorted(findings or [], key=Finding.sort_key)
-        #: filled in by the analyzer: StaticCollapseBound or None
-        self.collapse_bound = None
-        #: filled in by the analyzer: AddressClassification or None
-        self.addr_classes = None
-        #: filled in by the analyzer: ValueFlowAnalysis or None
-        self.valueflow = None
-        #: filled in by the analyzer: RecurrenceAnalysis or None
-        self.recurrence = None
-        #: filled in by the analyzer: BranchFlowAnalysis or None
-        self.branchflow = None
-        #: filled in by the analyzer: MemDepBound or None
-        self.memdep_bound = None
-        #: filled in by the analyzer: DAEAnalysis or None
-        self.dae = None
+        #: pass name -> the analysis that pass published
+        #: (repro.lint.registry.LintContext.publish)
+        self.analyses = {}
         #: instruction / basic-block counts for the summary line
         self.instructions = 0
         self.blocks = 0

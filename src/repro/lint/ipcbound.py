@@ -50,6 +50,9 @@ from .recurrence import VARIANTS
 
 #: simulated machine letter per graph variant
 SIM_LETTERS = {"A": "A", "C": "C", "E": "E", "V": "I"}
+#: dynamic graph each variant's simulated IPC is checked against (E's
+#: machine speculates every load, so its graph cuts every load's arcs)
+SIM_GRAPHS = {"A": "A", "C": "C", "E": "E_ideal", "V": "V"}
 
 _REL_TOL = 1e-9
 
@@ -151,17 +154,14 @@ def _scan_runs(analysis, trace):
     return runs
 
 
-def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048,
-                           simulate=True):
+def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048):
     """Assert the static/dynamic/simulated soundness chain.
 
     ``analysis`` is a :class:`repro.lint.recurrence.RecurrenceAnalysis`
-    of the program that produced ``trace``.  ``sim_ipcs`` may supply
-    precomputed ``{"A": ipc, "C": ipc, "E": ipc, "V": ipc}`` at the
-    widest machine (e.g. from a report runner's cache); otherwise the
-    matching configurations (config I for variant V) are simulated
-    here at width ``widest`` unless ``simulate`` is False, which skips
-    link 3.
+    of the program that produced ``trace``.  ``sim_ipcs`` supplies the
+    simulated ``{"A": ipc, "C": ipc, "E": ipc, "V": ipc}`` of the
+    matching configurations (config I for variant V) at width
+    ``widest``; without it link 3 is skipped.
     """
     check = RecurrenceCheck()
     check.n = len(trace)
@@ -228,18 +228,9 @@ def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048,
                    check.static_bound[variant], check.ipc[variant]))
 
     # ---- link 3: dataflow IPC >= simulated IPC at the widest machine
-    if sim_ipcs is None and simulate:
-        from ..core.config import paper_config
-        from ..core.simulator import simulate_trace
-        sim_ipcs = {}
-        for variant, letter in SIM_LETTERS.items():
-            result = simulate_trace(trace,
-                                    paper_config(letter, widest))
-            sim_ipcs[variant] = result.ipc
     if sim_ipcs:
         check.sim = dict(sim_ipcs)
-        links = (("A", "A"), ("C", "C"), ("E", "E_ideal"), ("V", "V"))
-        for variant, graph_key in links:
+        for variant, graph_key in SIM_GRAPHS.items():
             sim = sim_ipcs.get(variant)
             if sim is None:
                 continue
@@ -281,5 +272,6 @@ def fetch_refined_ipc(instructions, cycles, mispredict_floor):
     return instructions / denominator
 
 
-__all__ = ["RecurrenceCheck", "SIM_LETTERS", "fetch_refined_ipc",
-           "recurrence_cross_check", "variant_depth_arrays"]
+__all__ = ["RecurrenceCheck", "SIM_GRAPHS", "SIM_LETTERS",
+           "fetch_refined_ipc", "recurrence_cross_check",
+           "variant_depth_arrays"]

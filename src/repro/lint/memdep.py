@@ -459,13 +459,15 @@ class MemDepCheck:
     """Result of :func:`memdep_cross_check` for one program/trace."""
 
     __slots__ = ("violations", "dynamic_pairs", "static_pairs",
-                 "mdpt_pairs", "loads_seen", "stores_seen")
+                 "mdpt_pairs", "mdpt_violations", "loads_seen",
+                 "stores_seen")
 
     def __init__(self):
         self.violations = []
         self.dynamic_pairs = 0
         self.static_pairs = 0
         self.mdpt_pairs = 0
+        self.mdpt_violations = 0    # violations the simulated MDPT saw
         self.loads_seen = 0
         self.stores_seen = 0
 
@@ -536,6 +538,7 @@ def memdep_cross_check(bound, trace, result=None):
         by_pc = {program.address_of_index(i): i
                  for i in range(len(program.instructions))}
         check.mdpt_pairs = len(memdep.violation_pairs)
+        check.mdpt_violations = memdep.violations
         for (load_pc, store_pc), count in sorted(
                 memdep.violation_pairs.items()):
             load_index = by_pc.get(load_pc)

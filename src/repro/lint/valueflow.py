@@ -453,8 +453,7 @@ class ValueflowCheck:
 
 
 def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
-                          sim_ipc=None, widest=2048, simulate=True,
-                          table_entries=4096):
+                          sim_ipc=None, widest=2048, table_entries=4096):
     """Verify the static value claims against the dynamic machinery.
 
     Two halves, matching the acceptance inequalities:
@@ -474,7 +473,8 @@ def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
       ``widest``* is asserted: link 1 checks each run's static per-lap
       latency against the anchor's depth growth in graph V, link 2
       checks the floor against graph V's issue-based critical path,
-      and link 3 simulates config I (or takes ``sim_ipc``).  Both
+      and link 3 checks ``sim_ipc``, the simulated config-I IPC at
+      width ``widest``, when given.  Both
       sides cut exactly :meth:`ValueFlowAnalysis.cut_indices`, so a
       violation means a must-edge failed to materialize or the
       scheduler outran its own dependence graph.
@@ -562,10 +562,6 @@ def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
                 % (check.static_floor, check.graph_cp,
                    check.static_bound, check.graph_ipc))
 
-    if sim_ipc is None and simulate:
-        from ..core.config import paper_config
-        from ..core.simulator import simulate_trace
-        sim_ipc = simulate_trace(trace, paper_config("I", widest)).ipc
     if sim_ipc is not None:
         check.sim_ipc = sim_ipc
         if check.graph_ipc * (1 + _REL_TOL) < sim_ipc:

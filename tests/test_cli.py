@@ -300,3 +300,18 @@ def test_lint_recur_on_plain_file(capsys, tmp_path):
     code, output = run_cli(capsys, "lint", str(simple), "--recur")
     assert code == 0
     assert "loop recurrence bounds" in output
+
+
+def test_lint_check_flag_on_file_target_prints_located_skip(capsys):
+    """A check needs a workload's trace and cells; on a plain ``.s``
+    target each requested check says it did not run."""
+    import os
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "examples",
+                        "array_sum.s")
+    code, output = run_cli(capsys, "lint", path, "--addr-check",
+                           "--recur-check", "--dae-check")
+    assert code == 0
+    assert output.splitlines() == [
+        "%s: clean (14 instructions, 3 blocks)" % (path,)] + [
+        "  %s skipped: %s is not a registered workload" % (label, path)
+        for label in ("addr-check", "recur-check", "dae-check")]

@@ -79,3 +79,30 @@ def test_recurrence_bounds_chain_holds(runner):
         # The oracle graph (all address arcs cut) is never slower than
         # the realizable one.
         assert row[cols["graph E*"]] >= row[cols["graph E"]] - 1e-9
+
+
+def test_recurrence_bounds_verdict_is_the_recur_check_verdict(monkeypatch):
+    """The exhibit's check column comes from the same soundness chain as
+    ``repro lint --recur-check``, edge-removal links included: a graph E*
+    longer than graph E (impossible for a pure edge removal) must read
+    FAILED even though every simulated IPC stays under its limit."""
+    from repro.experiments import recurrence_bounds
+    from repro.lint import ipcbound
+
+    original = ipcbound.variant_depth_arrays
+
+    def lengthened_ideal_cut(trace, classes, value_cut=None):
+        arrays = original(trace, classes, value_cut=value_cut)
+        arrays["E_ideal"] = [depth + 1 for depth in arrays["E"]]
+        return arrays
+
+    monkeypatch.setattr(ipcbound, "variant_depth_arrays",
+                        lengthened_ideal_cut)
+    runner = ExperimentRunner(scale=0.02, widths=(2048,),
+                              names=("eqntott",))
+    [row] = recurrence_bounds(runner).rows
+    assert row[-1] == "FAILED"
+    check = runner.lint_check("recurrence", "eqntott", 2048)
+    assert not check.ok
+    assert all("lengthened the critical path" in violation
+               for violation in check.violations), check.violations

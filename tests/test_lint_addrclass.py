@@ -261,8 +261,8 @@ def test_addr_untracked_quiet_on_defined_address():
 
 def test_lint_report_carries_classification():
     report = lint_program(assemble(STRIDE_KERNEL))
-    assert report.addr_classes is not None
-    assert report.addr_classes.class_counts()[CLASS_STRIDE] == 1
+    assert report.analyses["addr-class"] is not None
+    assert report.analyses["addr-class"].class_counts()[CLASS_STRIDE] == 1
 
 
 # -------------------------------------------------- dynamic cross-check

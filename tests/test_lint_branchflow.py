@@ -245,12 +245,23 @@ def test_plan_rejects_self_mapping():
 
 # ------------------------------------------------- dynamic cross-check
 
+def simulated(ana, trace, width):
+    """The C, I and J cells the cross-check's simulated links read,
+    config J run with the analysis's plan."""
+    from repro.core.config import paper_config
+    from repro.core.simulator import simulate_trace
+    return {letter: simulate_trace(trace, paper_config(letter, width),
+                                   branch_plan=ana.plan()
+                                   if letter == "J" else None)
+            for letter in ("C", "I", "J")}
+
+
 def test_trip_floor_holds_dynamically():
     """The recovered trip count bounds the dynamic exit rate: the trip
     branch of TRIP runs 12 times per loop run and exits once."""
     program, trace = traced(TRIP)
     ana = BranchFlowAnalysis(program)
-    check = branchflow_cross_check(ana, trace, simulate=False)
+    check = branchflow_cross_check(ana, trace)
     assert check.ok, check.violations
     assert check.floors_checked == 1
 
@@ -262,7 +273,7 @@ def test_nested_trip_floors_hold_dynamically():
     ana = BranchFlowAnalysis(program)
     trips = sorted(site.trip for site in ana.sites)
     assert trips == [4, 5]
-    check = branchflow_cross_check(ana, trace, simulate=False)
+    check = branchflow_cross_check(ana, trace)
     assert check.ok, check.violations
     assert check.floors_checked == 2
 
@@ -276,7 +287,7 @@ def test_wrong_trip_count_is_caught():
     ana = BranchFlowAnalysis(program)
     inner = next(site for site in ana.sites if site.trip == 5)
     inner.trip = 100
-    check = branchflow_cross_check(ana, trace, simulate=False)
+    check = branchflow_cross_check(ana, trace)
     assert not check.ok
     assert any("trip-count floor" in v for v in check.violations)
 
@@ -288,7 +299,8 @@ def test_cross_check_chain_on_example_kernel():
         program = assemble(handle.read())
     trace, _, _ = trace_program(program, name="exit_branch")
     ana = BranchFlowAnalysis(program)
-    check = branchflow_cross_check(ana, trace, widest=8)
+    check = branchflow_cross_check(ana, trace,
+                                   sim_results=simulated(ana, trace, 8))
     assert check.ok, check.violations
     assert check.plan_branches == 1
     assert check.early_coverage is not None
@@ -305,7 +317,8 @@ def test_cross_check_green_on_workloads(name):
     program = get_workload(name).build(scale=scale)
     trace = cached_trace(name, scale)
     ana = BranchFlowAnalysis(program)
-    check = branchflow_cross_check(ana, trace, widest=64)
+    check = branchflow_cross_check(ana, trace,
+                                   sim_results=simulated(ana, trace, 64))
     assert check.ok, check.violations
     assert check.sites > 0
     assert check.conditional > 0
@@ -331,8 +344,7 @@ def test_vortex_plan_resolves_exit_branches_dynamically():
 def test_empty_trace_cross_check_is_trivially_ok():
     from repro.trace.records import TraceBuilder
     ana = analysis_of(TRIP)
-    check = branchflow_cross_check(ana, TraceBuilder().build(),
-                                   simulate=False)
+    check = branchflow_cross_check(ana, TraceBuilder().build())
     assert check.ok
     assert check.conditional == 0
 

@@ -146,5 +146,5 @@ def test_registered_workloads_lint_clean(name):
     assert report.ok, report.render()
     assert not report.errors
     assert report.instructions > 0 and report.blocks > 1
-    assert report.collapse_bound is not None
-    assert report.collapse_bound.static_bound > 0
+    assert report.analyses["collapse-bound"] is not None
+    assert report.analyses["collapse-bound"].static_bound > 0

@@ -227,8 +227,8 @@ main:   set     cell, %g1
 cell:   .word   7
 """)
     report = lint_program(program)
-    assert report.memdep_bound is not None
-    assert len(report.memdep_bound.loads) == 1
+    assert report.analyses["memdep"] is not None
+    assert len(report.analyses["memdep"].loads) == 1
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +285,7 @@ def test_cross_check_red_when_conflicts_suppressed():
 def test_cross_check_green_on_workload_with_mdpt(name):
     program = get_workload(name).build(scale=SCALE)
     trace = cached_trace(name, SCALE)
-    bound = lint_program(program).memdep_bound
+    bound = lint_program(program).analyses["memdep"]
     result = simulate_trace(trace, paper_config("F", 8))
     check = memdep_cross_check(bound, trace, result)
     assert check.ok, check.violations

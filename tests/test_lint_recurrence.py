@@ -229,10 +229,20 @@ def traced(source):
     return program, trace
 
 
+def simulated_ipcs(trace, width):
+    """Simulated IPC of each variant's machine (config I for V)."""
+    from repro.core.config import paper_config
+    from repro.core.simulator import simulate_trace
+    from repro.lint.ipcbound import SIM_LETTERS
+    return {variant: simulate_trace(trace, paper_config(letter, width)).ipc
+            for variant, letter in SIM_LETTERS.items()}
+
+
 def test_cross_check_accumulator_green():
     program, trace = traced(ACCUMULATOR)
     ana = RecurrenceAnalysis(program)
-    check = recurrence_cross_check(ana, trace, widest=64)
+    check = recurrence_cross_check(
+        ana, trace, sim_ipcs=simulated_ipcs(trace, 64), widest=64)
     assert check.ok, check.violations
     assert check.loops_checked == 1
     assert check.runs_checked >= 1
@@ -245,7 +255,8 @@ def test_cross_check_accumulator_green():
 def test_cross_check_chase_all_variants():
     program, trace = traced(CHASE)
     ana = RecurrenceAnalysis(program)
-    check = recurrence_cross_check(ana, trace, widest=64)
+    check = recurrence_cross_check(
+        ana, trace, sim_ipcs=simulated_ipcs(trace, 64), widest=64)
     assert check.ok, check.violations
     # The load recurrence survives collapsing: both floors positive.
     assert check.static_floor["A"] > 0
@@ -256,7 +267,7 @@ def test_cross_check_chase_all_variants():
 def test_cross_check_without_simulation():
     program, trace = traced(MEMORY_CARRIED)
     ana = RecurrenceAnalysis(program)
-    check = recurrence_cross_check(ana, trace, simulate=False)
+    check = recurrence_cross_check(ana, trace)
     assert check.ok, check.violations
     assert check.sim == {}
     assert check.static_floor["E"] > 0   # memory recurrence not broken
@@ -272,7 +283,7 @@ def test_cross_check_detects_fabricated_floor():
     rec.best["A"] = max(
         (c for c in rec.cycles if c.ratio("A") is not None),
         key=lambda c: c.ratio("A"))
-    check = recurrence_cross_check(ana, trace, simulate=False)
+    check = recurrence_cross_check(ana, trace)
     assert not check.ok
     assert any("exceeds dynamic depth growth" in v
                for v in check.violations)

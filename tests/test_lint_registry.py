@@ -13,6 +13,7 @@ from repro.lint import (
     unregister_lint_pass,
 )
 from repro.lint.findings import Finding, SEV_WARNING
+from repro.lint.registry import LintCheck, LintTable
 
 from .test_lint_recurrence import ACCUMULATOR
 
@@ -61,6 +62,59 @@ def test_throwaway_pass_reaches_driver_and_cli(capsys):
     finally:
         unregister_lint_pass("throwaway")
     assert all(p.name != "throwaway" for p in lint_passes())
+
+
+def test_throwaway_table_and_check_drive_cli_flags(capsys):
+    """A pass declaring a table and a failing check gets both flags in
+    ``repro lint`` with no CLI edit: the table prints, the check runs
+    on a runner-supplied cell and exits 2, ``--list`` shows the flags,
+    and after unregistering argparse rejects them again."""
+
+    class Toy:
+        def summary_rows(self):
+            return [(1, "toy-row")]
+
+    class ToyCheck:
+        ok = False
+
+        def __init__(self, cycles):
+            self.cycles = cycles
+            self.violations = ["planted toy violation"]
+
+    def run(report, runner, name, width):
+        assert report.analyses["toy"].summary_rows()
+        return ToyCheck(runner.result(name, "A", width).cycles)
+
+    def lines(name, check, width):
+        return ["  toy-check %s: FAILED (A/%d, %d cycles)"
+                % (name, width, check.cycles)]
+
+    @register_lint_pass(
+        "toy", "test-only table and check", order=97,
+        table=LintTable("--toy", "print the toy table", ["n", "word"],
+                        "toy rows", footer=lambda toy: "  toy footer"),
+        check=LintCheck("--toy-check", "fail on purpose", 4, run, lines))
+    def _toy(ctx):
+        ctx.publish(Toy())
+
+    try:
+        code = main(["lint", "eqntott", "--scale", "0.03", "--toy",
+                     "--toy-check"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "toy rows: <workload:eqntott>" in out
+        assert "toy-row" in out and "  toy footer" in out
+        assert "  toy-check eqntott: FAILED (A/4, " in out
+        assert "    planted toy violation" in out
+
+        assert main(["lint", "--list"]) == 0
+        assert "--toy --toy-check" in capsys.readouterr().out
+    finally:
+        unregister_lint_pass("toy")
+    with pytest.raises(SystemExit) as rejected:
+        main(["lint", "eqntott", "--toy-check"])
+    assert rejected.value.code == 2
+    assert "--toy-check" in capsys.readouterr().err
 
 
 def test_pass_ordering_controls_execution_order():

@@ -162,10 +162,14 @@ def test_coverage_bound_weighs_load_class():
 
 
 def test_cross_check_green_end_to_end():
+    from repro.core.config import paper_config
+    from repro.core.simulator import simulate_trace
     program, trace = traced(MIXED)
     ana = ValueFlowAnalysis(program)
     rec = RecurrenceAnalysis(program, valueflow=ana)
-    check = valueflow_cross_check(ana, trace, recurrence=rec, widest=64)
+    sim_ipc = simulate_trace(trace, paper_config("I", 64)).ipc
+    check = valueflow_cross_check(ana, trace, recurrence=rec,
+                                  sim_ipc=sim_ipc, widest=64)
     assert check.ok, check.violations
     assert check.checked_sites >= 1
     assert check.loads == 64
