@@ -15,12 +15,12 @@ change the cached bytes:
   fingerprint (:meth:`MachineConfig.fingerprint`), and the code
   fingerprint.
 
-The code fingerprint hashes the source of every package that feeds a
-simulation (ISA → assembler → emulator → trace → predictors → collapsing
-→ scheduler → workloads), so editing any simulation-relevant module
-invalidates the cache automatically; editing reporting/CLI code does
-not.  Writes go through a temp file + ``os.replace`` so concurrent
-workers never observe half-written entries.
+The code fingerprint hashes the source of every module of the
+``repro`` package, so editing any code a simulation or a cached
+analysis blob runs through invalidates the cache automatically (at the
+price of invalidating it on reporting/CLI edits too).  Writes go
+through a temp file + ``os.replace`` so concurrent workers never
+observe half-written entries.
 """
 
 import hashlib
@@ -36,29 +36,25 @@ from .trace.io import load_trace, save_trace
 #: (e.g. when the payload codec itself changes shape).
 CACHE_FORMAT_VERSION = 1
 
-#: Subpackages whose source participates in the code fingerprint: exactly
-#: the ones a (trace, config) -> SimResult computation flows through.
-_FINGERPRINT_PACKAGES = ("isa", "asm", "emu", "trace", "bpred", "addrpred",
-                         "vpred", "collapse", "core", "workloads",
-                         "analysis", "lint")
-
 _code_fingerprint = None
 
 
 def code_fingerprint():
-    """Digest of all simulation-relevant package sources (memoised)."""
+    """Digest of every ``.py`` source under the ``repro`` package
+    (memoised)."""
     global _code_fingerprint
     if _code_fingerprint is None:
         digest = hashlib.sha256()
         digest.update(b"format:%d" % CACHE_FORMAT_VERSION)
         root = os.path.dirname(os.path.abspath(__file__))
-        for package in _FINGERPRINT_PACKAGES:
-            directory = os.path.join(root, package)
-            for entry in sorted(os.listdir(directory)):
+        for directory, subdirs, files in os.walk(root):
+            subdirs.sort()
+            for entry in sorted(files):
                 if not entry.endswith(".py"):
                     continue
                 path = os.path.join(directory, entry)
-                digest.update(("%s/%s" % (package, entry)).encode("utf-8"))
+                relative = os.path.relpath(path, root).replace(os.sep, "/")
+                digest.update(relative.encode("utf-8"))
                 with open(path, "rb") as handle:
                     digest.update(handle.read())
         _code_fingerprint = digest.hexdigest()

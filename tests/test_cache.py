@@ -32,6 +32,30 @@ def test_code_fingerprint_stable_and_nonempty():
     assert CACHE_FORMAT_VERSION == 1
 
 
+@pytest.mark.parametrize("module", ["memdep/mdpt.py", "counters.py",
+                                    "nscan.py", "experiments/extensions.py",
+                                    "core/scheduler.py"])
+def test_code_fingerprint_covers_every_module(module, tmp_path,
+                                              monkeypatch):
+    """Editing any module the simulator or a cached blob runs through
+    (here: a copy of the package) must change the fingerprint — e.g.
+    the MDPT flush penalty in memdep/, which F/G cells depend on."""
+    import shutil
+
+    import repro.cache as cache_module
+    package = tmp_path / "repro"
+    shutil.copytree(os.path.dirname(cache_module.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(cache_module, "__file__",
+                        str(package / "cache.py"))
+    monkeypatch.setattr(cache_module, "_code_fingerprint", None)
+    before = code_fingerprint()
+    with open(package / module, "a") as handle:
+        handle.write("\n# edited\n")
+    monkeypatch.setattr(cache_module, "_code_fingerprint", None)
+    assert code_fingerprint() != before
+
+
 def test_trace_round_trip_counts_hit_and_miss(cache):
     trace = cached_trace("eqntott", 0.03)
     assert cache.load_trace("eqntott", 0.03) is None
