@@ -41,6 +41,7 @@ scheduler invariant checker to every simulation they perform.
 import argparse
 import os
 import sys
+from functools import partial
 
 from .collapse import CollapseRules
 from .core import MachineConfig, config_letters, paper_config, \
@@ -158,16 +159,16 @@ def _build_config(args):
 def cmd_simulate(args):
     trace = _load_target(args.workload, args.scale)
     config = _build_config(args)
-    dae_plan = None
-    if config.dae and args.workload in WORKLOADS:
-        from .workloads import cached_dae_plan
-        dae_plan = cached_dae_plan(args.workload, args.scale)
-    branch_plan = None
-    if config.branch_spec and args.workload in WORKLOADS:
-        from .workloads import cached_branch_plan
-        branch_plan = cached_branch_plan(args.workload, args.scale)
-    result = simulate_trace(trace, config, sanitize=args.sanitize,
-                            dae_plan=dae_plan, branch_plan=branch_plan)
+    plans = {}
+    if args.workload in WORKLOADS:
+        # The static plans derive from the workload's assembly; a saved
+        # trace file has none.
+        from .workloads import cached_branch_plan, cached_dae_plan
+        plans = {"dae_plan": partial(cached_dae_plan, args.workload,
+                                     args.scale),
+                 "branch_plan": partial(cached_branch_plan, args.workload,
+                                        args.scale)}
+    result = simulate_trace(trace, config, sanitize=args.sanitize, **plans)
     print("%s on %s" % (config.name, trace.name))
     if args.sanitize:
         print("  sanitize     : ok (model invariants held)")
@@ -208,20 +209,19 @@ def cmd_sweep(args):
     rows = []
     profile = None
     if args.workload in WORKLOADS:
-        # Registered workloads go through the parallel, disk-cached
-        # engine; cells come back in input order so rows are identical
-        # to the serial path.
-        from .experiments.parallel import run_cells
-        cells = [(args.workload, letter, width)
-                 for width in widths for letter in letters]
-        results, profile = run_cells(
-            cells, args.scale, jobs=args.jobs, cache_dir=args.cache_dir,
+        # Registered workloads go through the experiment runner: the
+        # parallel, disk-cached engine, identical to the serial path.
+        from .experiments.runner import ExperimentRunner
+        runner = ExperimentRunner(
+            scale=args.scale, widths=widths, names=[args.workload],
+            jobs=args.jobs, cache_dir=args.cache_dir,
             progress=True if args.jobs > 1 else None)
+        sweep = runner.sweep(letters)
         name = args.workload
-        stride = len(letters)
-        for index, width in enumerate(widths):
-            per_width = results[index * stride:(index + 1) * stride]
-            rows.append([width] + [result.ipc for result in per_width])
+        profile = runner.profile
+        for width in widths:
+            rows.append([width] + [sweep[(letter, width)][0].ipc
+                                   for letter in letters])
     else:
         trace = _load_target(args.workload, args.scale)
         name = trace.name

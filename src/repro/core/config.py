@@ -71,16 +71,15 @@ class MachineConfig:
     """One simulated machine."""
 
     __slots__ = ("name", "issue_width", "window_size", "collapse_rules",
-                 "load_spec", "perfect_branches", "node_elimination",
-                 "value_spec", "fetch_taken_break", "mem_spec", "dae",
-                 "mdpt_entries", "mdpt_store_set", "branch_spec")
+                 "load_spec", "node_elimination", "value_spec",
+                 "fetch_taken_break", "mem_spec", "dae", "mdpt_entries",
+                 "mdpt_store_set", "branch_spec")
 
     def __init__(self, issue_width, window_size=None, collapse_rules=None,
-                 load_spec=LOAD_SPEC_NONE, perfect_branches=False,
-                 node_elimination=False, value_spec=False,
-                 fetch_taken_break=False, mem_spec=MEM_SPEC_PERFECT,
-                 dae=False, mdpt_entries=None, mdpt_store_set=None,
-                 branch_spec=False, name=None):
+                 load_spec=LOAD_SPEC_NONE, node_elimination=False,
+                 value_spec=False, fetch_taken_break=False,
+                 mem_spec=MEM_SPEC_PERFECT, dae=False, mdpt_entries=None,
+                 mdpt_store_set=None, branch_spec=False, name=None):
         if issue_width < 1:
             raise ConfigError("issue width must be positive")
         if window_size is None:
@@ -146,7 +145,6 @@ class MachineConfig:
         self.collapse_rules = collapse_rules
         self.load_spec = load_spec
         self.mem_spec = mem_spec
-        self.perfect_branches = perfect_branches
         self.node_elimination = node_elimination
         self.value_spec = value_spec
         #: When set, fetch stops at each *taken* control transfer for the
@@ -211,7 +209,6 @@ class MachineConfig:
             "window_size": self.window_size,
             "load_spec": self.load_spec,
             "mem_spec": self.mem_spec,
-            "perfect_branches": self.perfect_branches,
             "node_elimination": self.node_elimination,
             "value_spec": self.value_spec,
             "fetch_taken_break": self.fetch_taken_break,
@@ -244,9 +241,8 @@ class MachineConfig:
 #: :class:`MachineConfig` gets a fresh rules object); everything else is
 #: forwarded to :class:`MachineConfig` verbatim.
 _SPEC_KNOBS = frozenset((
-    "collapse", "load_spec", "mem_spec", "perfect_branches",
-    "node_elimination", "value_spec", "fetch_taken_break", "dae",
-    "branch_spec",
+    "collapse", "load_spec", "mem_spec", "node_elimination", "value_spec",
+    "fetch_taken_break", "dae", "branch_spec",
 ))
 
 

@@ -1,24 +1,27 @@
 """High-level simulation entry points.
 
-:func:`simulate_trace` runs one (trace, configuration) pair, computing the
-program-order predictor passes on demand; :func:`simulate_many` amortises
-those passes across several configurations of the same trace — branch
-prediction and address prediction are configuration-independent (they run
-in program order), so one pass each feeds every machine.
+:func:`simulate_trace` is the one path from a (trace, configuration)
+pair to a scheduler run: every other caller (``simulate_many``, the
+experiment runner and its worker processes, the CLI) goes through it.
+:func:`simulate_many` amortises the program-order predictor passes
+across several configurations of the same trace — branch prediction and
+address prediction are configuration-independent (they run in program
+order), so one pass each feeds every machine.
 """
 
+import functools
+
 from ..addrpred.runner import run_address_predictor
-from ..bpred.combining import CombiningPredictor, PerfectPredictor
+from ..bpred.combining import CombiningPredictor
 from ..bpred.runner import run_branch_predictor
 from ..vpred.runner import run_value_predictor
 from .config import LOAD_SPEC_REAL, VALUE_SPEC_REPLAY
 from .scheduler import WindowScheduler
 
 
-def branch_outcomes(trace, perfect=False):
+def branch_outcomes(trace):
     """Program-order branch-prediction pass for ``trace``."""
-    predictor = PerfectPredictor() if perfect else CombiningPredictor()
-    return run_branch_predictor(trace, predictor)
+    return run_branch_predictor(trace, CombiningPredictor())
 
 
 def load_outcomes(trace, table=None):
@@ -33,7 +36,7 @@ def value_outcomes(trace, table=None, predictor="last"):
     return run_value_predictor(trace, table, predictor=predictor)
 
 
-def _value_predictor_kind(config):
+def value_predictor_kind(config):
     """Config I speculates on the confident *stride* predictor — the
     mechanism the valueflow lint statically bounds; the oracle mode
     (``value_spec=True``) keeps the original last-value pass."""
@@ -51,28 +54,56 @@ def make_sanitizer(trace, config, branch_result=None, dae_plan=None,
                               dae_plan=dae_plan, branch_plan=branch_plan)
 
 
+def _input(value, used, compute=None):
+    """One scheduler input: ``None`` when the config does not use it,
+    else ``value`` — called first when it is a zero-argument callable,
+    computed by ``compute`` when it is ``None``."""
+    if not used:
+        return None
+    if callable(value):
+        return value()
+    if value is None and compute is not None:
+        return compute()
+    return value
+
+
 def simulate_trace(trace, config, branch_result=None, load_prediction=None,
                    value_prediction=None, sanitize=False, dae_plan=None,
                    branch_plan=None):
     """Simulate ``trace`` on ``config`` and return a ``SimResult``.
 
-    With ``sanitize=True`` the run carries a scheduler sanitizer that
-    re-checks the model invariants and raises
-    :class:`~repro.lint.sanitize.SanitizeError` on any violation.
-    ``dae_plan`` supplies the static access/execute slices a
-    ``config.dae`` machine decouples with (``repro.lint.dae``);
-    ``branch_plan`` the load-driven exit-branch contract a
-    ``config.branch_spec`` machine resolves with
-    (``repro.lint.branchflow``).
+    This is the one place a configuration's inputs are chosen: the
+    branch pass always, the address pass when ``config.load_spec`` is
+    ``"real"``, the value pass (:func:`value_predictor_kind`) when
+    ``config.value_spec`` is set, ``dae_plan`` when ``config.dae`` and
+    ``branch_plan`` when ``config.branch_spec``.  An input the config
+    does not use is ignored.  Each input may be given as the object
+    itself, or as a zero-argument callable that is called only when the
+    config uses the input — the way memoising callers (the experiment
+    runner, :func:`simulate_many`) pass their memo in.  A predictor pass
+    left out is computed here; a plan left out is absent (it derives
+    from the workload's assembly, not the trace), and the machine then
+    degenerates to its base configuration.
+
+    ``dae_plan`` is the static access/execute slicing a ``config.dae``
+    machine decouples with (``repro.lint.dae``); ``branch_plan`` the
+    load-driven exit-branch contract a ``config.branch_spec`` machine
+    resolves with (``repro.lint.branchflow``).  With ``sanitize=True``
+    the run carries a scheduler sanitizer that re-checks the model
+    invariants and raises :class:`~repro.lint.sanitize.SanitizeError`
+    on any violation.
     """
-    if branch_result is None:
-        branch_result = branch_outcomes(trace,
-                                        perfect=config.perfect_branches)
-    if load_prediction is None and config.load_spec == LOAD_SPEC_REAL:
-        load_prediction = load_outcomes(trace)
-    if value_prediction is None and config.value_spec:
-        value_prediction = value_outcomes(
-            trace, predictor=_value_predictor_kind(config))
+    branch_result = _input(branch_result, True,
+                           lambda: branch_outcomes(trace))
+    load_prediction = _input(load_prediction,
+                             config.load_spec == LOAD_SPEC_REAL,
+                             lambda: load_outcomes(trace))
+    value_prediction = _input(
+        value_prediction, config.value_spec,
+        lambda: value_outcomes(trace,
+                               predictor=value_predictor_kind(config)))
+    dae_plan = _input(dae_plan, config.dae)
+    branch_plan = _input(branch_plan, config.branch_spec)
     sanitizer = make_sanitizer(trace, config, branch_result,
                                dae_plan=dae_plan,
                                branch_plan=branch_plan) if sanitize \
@@ -87,42 +118,17 @@ def simulate_trace(trace, config, branch_result=None, load_prediction=None,
 def simulate_many(trace, configs, sanitize=False, dae_plan=None,
                   branch_plan=None):
     """Simulate ``trace`` on several configurations, sharing predictor
-    passes.  Returns a list of ``SimResult`` in the order of ``configs``.
+    passes: each pass runs once, for the first configuration that uses
+    it.  Returns a list of ``SimResult`` in the order of ``configs``.
     """
-    configs = list(configs)
-    real_branch = None
-    perfect_branch = None
-    load_prediction = None
-    value_predictions = {}      # predictor kind -> program-order pass
-    results = []
-    for config in configs:
-        if config.perfect_branches:
-            if perfect_branch is None:
-                perfect_branch = branch_outcomes(trace, perfect=True)
-            branch_result = perfect_branch
-        else:
-            if real_branch is None:
-                real_branch = branch_outcomes(trace)
-            branch_result = real_branch
-        prediction = None
-        if config.load_spec == LOAD_SPEC_REAL:
-            if load_prediction is None:
-                load_prediction = load_outcomes(trace)
-            prediction = load_prediction
-        vpred = None
-        if config.value_spec:
-            kind = _value_predictor_kind(config)
-            if kind not in value_predictions:
-                value_predictions[kind] = value_outcomes(trace,
-                                                         predictor=kind)
-            vpred = value_predictions[kind]
-        results.append(simulate_trace(trace, config,
-                                      branch_result=branch_result,
-                                      load_prediction=prediction,
-                                      value_prediction=vpred,
-                                      sanitize=sanitize,
-                                      dae_plan=dae_plan
-                                      if config.dae else None,
-                                      branch_plan=branch_plan
-                                      if config.branch_spec else None))
-    return results
+    once = functools.lru_cache(maxsize=None)
+    branch = once(lambda: branch_outcomes(trace))
+    loads = once(lambda: load_outcomes(trace))
+    values = once(lambda kind: value_outcomes(trace, predictor=kind))
+    return [simulate_trace(trace, config, branch_result=branch,
+                           load_prediction=loads,
+                           value_prediction=lambda config=config:
+                           values(value_predictor_kind(config)),
+                           sanitize=sanitize, dae_plan=dae_plan,
+                           branch_plan=branch_plan)
+            for config in configs]

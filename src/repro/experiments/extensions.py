@@ -14,7 +14,6 @@ configuration E (ideal address speculation).
 from ..collapse.rules import CollapseRules
 from ..core.config import LOAD_SPEC_REAL, WIDTH_LABELS, MachineConfig
 from ..core.results import MECHANISM_STATS
-from ..core.simulator import value_outcomes
 from ..metrics.means import harmonic_mean, mean_ipc, mean_speedup
 from .exhibit import Exhibit, register_exhibit
 
@@ -45,15 +44,6 @@ def _merged(results, field):
 
 def extension_figure(runner):
     """Harmonic-mean speedup over A of D and its extensions, plus E."""
-    value_passes = {}
-
-    def value_pass(name):
-        # Lazy: a warm disk cache never pays for the value-prediction
-        # pass (runner.simulate only calls this on a miss).
-        if name not in value_passes:
-            value_passes[name] = value_outcomes(runner.trace(name))
-        return value_passes[name]
-
     headers = ["width"] + [label for label, _, _ in _VARIANTS] + ["E"]
     rows = []
     for width in runner.widths:
@@ -64,10 +54,7 @@ def extension_figure(runner):
             config = _variant_config(width, elim, vspec)
             ratios = []
             for name in runner.names:
-                value_prediction = ((lambda n=name: value_pass(n))
-                                    if vspec else None)
-                result = runner.simulate(
-                    name, config, value_prediction=value_prediction)
+                result = runner.simulate(name, config)
                 ratios.append(result.speedup_over(baselines[name]))
             row.append(harmonic_mean(ratios))
         e_ratios = [runner.result(name, "E", width)

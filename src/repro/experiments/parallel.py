@@ -8,112 +8,51 @@ nothing crosses the process boundary but plain dicts; the parent decodes
 them and reassembles results **in input order**, making a parallel sweep
 byte-identical to a serial one.
 
-Worker processes memoise traces and the configuration-independent
-predictor passes per (workload, scale), so cells landing in the same
-worker amortise trace generation exactly like the serial
-:class:`ExperimentRunner` does.  With a cache directory, traces and
-results also persist across processes and invocations (see
-``repro.cache``).
+Each worker process resolves its cells through one
+:class:`ExperimentRunner` per (scale, cache directory, keep_schedules,
+sanitize) — the same :meth:`ExperimentRunner.simulate` path a serial
+sweep takes — so cells landing in the same worker share the runner's
+memo of configuration-independent predictor passes.  With a cache
+directory, traces and results also persist across processes and
+invocations (see ``repro.cache``).
 """
 
+import functools
 import multiprocessing
 import sys
 import time
 
-from ..cache import DiskCache
-from ..core.config import LOAD_SPEC_REAL, config_specs, paper_config
+from ..core.config import config_specs, paper_config
 from ..core.results import SimResult
-from ..core.scheduler import WindowScheduler
-from ..core.simulator import (
-    _value_predictor_kind,
-    branch_outcomes,
-    load_outcomes,
-    value_outcomes,
-)
 from ..metrics.tables import render_table
-from ..workloads.registry import (
-    cached_branch_plan,
-    cached_dae_plan,
-    cached_trace,
-)
-
-#: Per-worker-process memo: (name, scale, cache_dir) -> (trace, branch
-#: pass), and (name, scale, cache_dir, kind) -> the address ("address")
-#: or value (predictor kind) prediction pass, computed on first use.
-#: Six workloads at bench scales fit comfortably in memory.
-_WORKER_STATE = {}
 
 
-def _memo(key, compute):
-    value = _WORKER_STATE.get(key)
-    if value is None:
-        value = _WORKER_STATE[key] = compute()
-    return value
-
-
-def _cell_inputs(name, scale, cache_dir):
-    """The trace and its branch pass."""
-    def build():
-        if cache_dir is not None:
-            trace = DiskCache(cache_dir).get_trace(
-                name, scale, lambda: cached_trace(name, scale))
-        else:
-            trace = cached_trace(name, scale)
-        return trace, branch_outcomes(trace)
-    return _memo((name, scale, cache_dir), build)
-
-
-def _prediction(name, scale, cache_dir, kind):
-    """The address ("address") or value (predictor ``kind``) prediction
-    pass of one trace."""
-    trace, _ = _cell_inputs(name, scale, cache_dir)
-    if kind == "address":
-        return _memo((name, scale, cache_dir, kind),
-                     lambda: load_outcomes(trace))
-    return _memo((name, scale, cache_dir, kind),
-                 lambda: value_outcomes(trace, predictor=kind))
+@functools.lru_cache(maxsize=None)
+def _worker_runner(scale, cache_dir, keep_schedules, sanitize):
+    """This process's :class:`~repro.experiments.runner.ExperimentRunner`
+    for one (scale, cache directory, keep_schedules, sanitize)
+    combination.  Its memo holds the branch, address and value passes
+    per workload, so the cells a worker handles share them."""
+    from .runner import ExperimentRunner
+    return ExperimentRunner(scale=scale, cache_dir=cache_dir,
+                            keep_schedules=keep_schedules,
+                            sanitize=sanitize)
 
 
 def _run_cell(task):
-    """Worker entry point: simulate (or load) one cell.
+    """Worker entry point: resolve one cell through the worker's runner.
 
-    Returns ``(index, payload, seconds, cache_hit, cache_counters)``.
+    Returns ``(index, payload, profile entry, cache counter deltas)``.
     """
     (index, name, letter, width, scale, cache_dir, keep_schedules,
      sanitize) = task
-    started = time.perf_counter()
-    cache = DiskCache(cache_dir) if cache_dir is not None else None
-    config = paper_config(letter, width)
-    if cache is not None:
-        result = cache.load_result(name, scale, config)
-        if result is not None:
-            return (index, result.to_payload(),
-                    time.perf_counter() - started, True, cache.stats())
-    trace, branch = _cell_inputs(name, scale, cache_dir)
-    prediction = (_prediction(name, scale, cache_dir, "address")
-                  if config.load_spec == LOAD_SPEC_REAL else None)
-    values = (_prediction(name, scale, cache_dir,
-                          _value_predictor_kind(config))
-              if config.value_spec else None)
-    dae_plan = cached_dae_plan(name, scale) if config.dae else None
-    branch_plan = (cached_branch_plan(name, scale)
-                   if config.branch_spec else None)
-    sanitizer = None
-    if sanitize:
-        from ..core.simulator import make_sanitizer
-        sanitizer = make_sanitizer(trace, config, branch,
-                                   dae_plan=dae_plan,
-                                   branch_plan=branch_plan)
-    result = WindowScheduler(trace, config, branch, prediction, values,
-                             sanitizer=sanitizer,
-                             dae_plan=dae_plan,
-                             branch_plan=branch_plan).run()
-    if not keep_schedules:
-        result.issue_cycles = None
-    if cache is not None:
-        cache.store_result(result, name, scale, config)
-    return (index, result.to_payload(), time.perf_counter() - started,
-            False, cache.stats() if cache is not None else {})
+    runner = _worker_runner(scale, cache_dir, keep_schedules, sanitize)
+    cache = runner.cache
+    before = cache.stats() if cache is not None else {}
+    result = runner.simulate(name, paper_config(letter, width))
+    counters = {key: cache.counters[key] - value
+                for key, value in before.items()}
+    return index, result.to_payload(), runner.profile.cells.pop(), counters
 
 
 def cell_label(config, extra_key=None):
@@ -233,13 +172,14 @@ def run_cells(cells, scale, jobs=1, cache_dir=None, keep_schedules=False,
 
     def consume(outcomes):
         done = 0
-        for index, payload, seconds, cache_hit, counters in outcomes:
+        for index, payload, entry, counters in outcomes:
             results[index] = SimResult.from_payload(payload)
-            profile.record(cells[index], seconds, cache_hit)
+            profile.cells.append(entry)
             profile.merge_cache_counters(counters)
             done += 1
             if progress is not None:
-                progress(done, len(cells), cells[index], cache_hit)
+                progress(done, len(cells), cells[index],
+                         entry[4] == "cache")
 
     if jobs <= 1 or len(tasks) <= 1:
         consume(map(_run_cell, tasks))

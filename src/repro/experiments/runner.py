@@ -19,15 +19,16 @@ Two optional layers sit under the in-memory memo:
 """
 
 import time
+from functools import partial
 
 from ..cache import DiskCache
 from ..core.config import PAPER_ISSUE_WIDTHS, config_letters, paper_config
-from ..core.scheduler import WindowScheduler
 from ..core.simulator import (
-    _value_predictor_kind,
     branch_outcomes,
     load_outcomes,
+    simulate_trace,
     value_outcomes,
+    value_predictor_kind,
 )
 from ..workloads.registry import (
     SUITE,
@@ -87,8 +88,12 @@ class ExperimentRunner:
         #: simulations that ran (and passed) under the sanitizer
         self.sanitized_runs = 0
         #: accumulated per-cell wall times and cache counters for every
-        #: cell resolved through this runner (the ``--profile`` source)
+        #: cell resolved through this runner (the ``--profile`` source);
+        #: the counters are the disk cache's own, into which
+        #: :meth:`prefetch` merges the worker processes' counts
         self.profile = SweepProfile()
+        if self.cache is not None:
+            self.profile.cache_counters = self.cache.counters
         self._results = {}
         self._branch = {}
         self._loads = {}
@@ -130,7 +135,7 @@ class ExperimentRunner:
     def value_prediction(self, name, config):
         """Program-order value-prediction pass for a ``value_spec``
         cell (config I runs on the confident stride predictor)."""
-        kind = _value_predictor_kind(config)
+        kind = value_predictor_kind(config)
         key = (name, kind)
         if key not in self._values:
             self._values[key] = value_outcomes(self.trace(name),
@@ -152,85 +157,28 @@ class ExperimentRunner:
         return LINT_PASSES[pass_name].check.run(self.lint(name), self,
                                                 name, width)
 
-    def _dae_plan(self, name, config):
-        """Static decoupling plan for configuration-H cells; the plan
-        derives from the workload's assembly at this runner's scale."""
-        if not config.dae:
-            return None
-        return cached_dae_plan(name, self.scale)
-
-    def _branch_plan(self, name, config):
-        """Static load-driven exit-branch plan for configuration-J
-        cells; like the DAE plan it derives from the workload's
-        assembly at this runner's scale."""
-        if not config.branch_spec:
-            return None
-        return cached_branch_plan(name, self.scale)
-
-    def _make_sanitizer(self, name, config, dae_plan=None,
-                        branch_plan=None):
-        if not self.sanitize:
-            return None
-        from ..core.simulator import make_sanitizer
-        return make_sanitizer(self.trace(name), config,
-                              self.branch(name), dae_plan=dae_plan,
-                              branch_plan=branch_plan)
-
     def result(self, name, letter, width):
-        """Simulation result for one cell, memoised (and disk-cached)."""
+        """Simulation result for one paper cell: a memo over
+        :meth:`simulate` of the letter's configuration."""
         key = (name, letter, width)
         if key not in self._results:
-            started = time.perf_counter()
-            config = paper_config(letter, width)
-            result = None
-            if self.cache is not None:
-                result = self.cache.load_result(name, self.scale, config)
-            cache_hit = result is not None
-            if result is None:
-                prediction = (self.load_prediction(name)
-                              if config.load_spec == "real" else None)
-                values = (self.value_prediction(name, config)
-                          if config.value_spec else None)
-                dae_plan = self._dae_plan(name, config)
-                branch_plan = self._branch_plan(name, config)
-                scheduler = WindowScheduler(
-                    self.trace(name), config, self.branch(name),
-                    prediction, values,
-                    sanitizer=self._make_sanitizer(name, config,
-                                                   dae_plan,
-                                                   branch_plan),
-                    dae_plan=dae_plan, branch_plan=branch_plan)
-                result = scheduler.run()
-                if self.sanitize:
-                    self.sanitized_runs += 1
-                if not self.keep_schedules:
-                    result.issue_cycles = None
-                if self.cache is not None:
-                    self.cache.store_result(result, name, self.scale,
-                                            config)
-            self._results[key] = result
-            self._record(key, started, cache_hit)
+            self._results[key] = self.simulate(name,
+                                               paper_config(letter, width))
         return self._results[key]
 
-    def _record(self, cell, started, cache_hit):
-        """Profile one cell resolved inline: being serial, its time is
-        wall time as well as cell work."""
-        seconds = time.perf_counter() - started
-        self.profile.record(cell, seconds, cache_hit)
-        self.profile.wall_seconds += seconds
+    def simulate(self, name, config, extra_key=None, load_prediction=None):
+        """Disk-cached, profiled simulation of any config: the one path
+        every runner cell takes, paper letters (:meth:`result`), pool
+        workers and the extension exhibits' variants alike.
 
-    def simulate(self, name, config, extra_key=None, load_prediction=None,
-                 value_prediction=None):
-        """Disk-cached, profiled simulation of an *arbitrary* config
-        (extension exhibits: elimination/value-speculation variants,
-        alternative address predictors).
-
-        ``load_prediction`` / ``value_prediction`` may be zero-argument
-        callables; they run only on a cache miss, so a warm cache skips
-        the predictor passes along with the simulation.  ``extra_key``
-        must distinguish any simulation input the config fingerprint
-        cannot express (e.g. which predictor table produced
-        ``load_prediction``).
+        On a cache miss it hands ``simulate_trace`` this runner's memo
+        of predictor passes and the workload's static plans, as
+        callables that run only when the config uses them; a warm cache
+        skips them along with the simulation.  ``load_prediction``
+        overrides the memo's address pass (an object or a zero-argument
+        callable); ``extra_key`` must then distinguish the input the
+        config fingerprint cannot express (e.g. which predictor table
+        produced ``load_prediction``).
         """
         started = time.perf_counter()
         result = None
@@ -239,25 +187,17 @@ class ExperimentRunner:
                                             extra=extra_key)
         cache_hit = result is not None
         if result is None:
-            prediction = load_prediction
-            if callable(prediction):
-                prediction = prediction()
-            elif prediction is None and config.load_spec == "real":
-                prediction = self.load_prediction(name)
-            values = value_prediction
-            if callable(values):
-                values = values()
-            elif values is None and config.value_spec:
-                values = self.value_prediction(name, config)
-            dae_plan = self._dae_plan(name, config)
-            branch_plan = self._branch_plan(name, config)
-            scheduler = WindowScheduler(
-                self.trace(name), config, self.branch(name), prediction,
-                values,
-                sanitizer=self._make_sanitizer(name, config, dae_plan,
-                                               branch_plan),
-                dae_plan=dae_plan, branch_plan=branch_plan)
-            result = scheduler.run()
+            if load_prediction is None:
+                load_prediction = partial(self.load_prediction, name)
+            result = simulate_trace(
+                self.trace(name), config,
+                branch_result=partial(self.branch, name),
+                load_prediction=load_prediction,
+                value_prediction=partial(self.value_prediction, name,
+                                         config),
+                sanitize=self.sanitize,
+                dae_plan=partial(cached_dae_plan, name, self.scale),
+                branch_plan=partial(cached_branch_plan, name, self.scale))
             if self.sanitize:
                 self.sanitized_runs += 1
             if not self.keep_schedules:
@@ -265,8 +205,12 @@ class ExperimentRunner:
             if self.cache is not None:
                 self.cache.store_result(result, name, self.scale, config,
                                         extra=extra_key)
-        self._record((name, cell_label(config, extra_key),
-                      config.issue_width), started, cache_hit)
+        # Resolved inline: being serial, the cell's time is wall time as
+        # well as cell work.
+        seconds = time.perf_counter() - started
+        self.profile.record((name, cell_label(config, extra_key),
+                             config.issue_width), seconds, cache_hit)
+        self.profile.wall_seconds += seconds
         return result
 
     def results(self, letter, width, names=None):
@@ -314,7 +258,6 @@ class ExperimentRunner:
             self._results[cell] = result
         self.profile.cells.extend(profile.cells)
         self.profile.wall_seconds += profile.wall_seconds
-        self.profile.merge_cache_counters(profile.cache_counters)
         if self.cache is not None:
             self.cache.merge_counters(profile.cache_counters)
         return len(cells)

@@ -6,10 +6,8 @@ measures key metrics at several workload scales and reports the drift, so
 the claim is checked by the repository itself rather than asserted.
 """
 
-from ..core.config import MachineConfig
-from ..core.scheduler import WindowScheduler
-from ..core.simulator import branch_outcomes, load_outcomes
-from ..collapse.rules import CollapseRules
+from ..core.config import paper_config
+from ..core.simulator import simulate_many
 from ..workloads.registry import cached_trace
 from .exhibit import Exhibit
 
@@ -22,15 +20,10 @@ def scale_sensitivity(name, scales=(0.25, 0.5, 1.0), width=16):
     mean the scale substitution is safe for that workload.
     """
     rows = []
-    config_a = MachineConfig(width)
-    config_d = MachineConfig(width, collapse_rules=CollapseRules.paper(),
-                             load_spec="real")
+    configs = (paper_config("A", width), paper_config("D", width))
     for scale in scales:
         trace = cached_trace(name, scale)
-        branch = branch_outcomes(trace)
-        loads = load_outcomes(trace)
-        base = WindowScheduler(trace, config_a, branch).run()
-        result = WindowScheduler(trace, config_d, branch, loads).run()
+        base, result = simulate_many(trace, configs)
         fractions = result.loads.fractions()
         rows.append([
             scale,
@@ -38,7 +31,7 @@ def scale_sensitivity(name, scales=(0.25, 0.5, 1.0), width=16):
             result.ipc,
             result.speedup_over(base),
             100.0 * result.collapse.collapsed_fraction,
-            100.0 * branch.accuracy,
+            100.0 * result.branch.accuracy,
             100.0 * fractions["predicted_correctly"],
         ])
     return Exhibit(

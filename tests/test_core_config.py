@@ -29,7 +29,7 @@ def test_config_a_is_plain():
     config = paper_config("A", 8)
     assert not config.collapsing
     assert config.load_spec == "none"
-    assert not config.perfect_branches
+    assert config.features() == []
 
 
 def test_config_b_real_speculation():
@@ -192,15 +192,16 @@ def test_get_config_spec_unknown():
 def test_new_letter_needs_only_one_registration():
     """The acceptance demonstration: registering a throwaway letter is
     the single edit needed for it to appear in the runner's sweep and
-    the registry-driven figures."""
+    the registry-driven figures, simulated as the letter's config."""
+    from repro.core.simulator import simulate_trace
     from repro.experiments import ExperimentRunner
     from repro.experiments.figures import figure2
-    register_config("X", "throwaway: A + perfect branches",
-                    perfect_branches=True)
+    register_config("X", "throwaway: A + ideal load-speculation",
+                    load_spec="ideal")
     try:
         assert config_letters()[-1] == "X"
         config = paper_config("X", 4)
-        assert config.perfect_branches
+        assert config.load_spec == "ideal" and not config.collapsing
         assert config.name == "X/w4"
         runner = ExperimentRunner(scale=0.02, widths=(4,))
         missing = runner.missing_cells()
@@ -209,6 +210,11 @@ def test_new_letter_needs_only_one_registration():
         assert exhibit.headers[-1] == "X"
         for row in exhibit.rows:
             assert row[-1] > 0.0
+        name = runner.names[0]
+        expected = simulate_trace(runner.trace(name), config)
+        expected.issue_cycles = None
+        assert runner.result(name, "X", 4).to_payload() == \
+            expected.to_payload()
     finally:
         unregister_config("X")
     assert "X" not in config_letters()

@@ -135,10 +135,30 @@ def test_report_profile_section(tmp_path):
     assert "cache counters" in text
 
 
+def test_report_profile_counts_warm_cache_reads(tmp_path):
+    """Serial and pooled profiles both render the runner's disk-cache
+    counters: the parent's own reads plus every worker's."""
+    import re
+    from repro.experiments.report import generate
+    cache_dir = tmp_path / "cache"
+    generate(scale=0.01, widths=(8,), include_extensions=False, jobs=2,
+             cache_dir=cache_dir)
+    for jobs in (1, 2):
+        text = generate(scale=0.01, widths=(8,), include_extensions=False,
+                        jobs=jobs, cache_dir=cache_dir, profile=True)
+        line = re.search(r"\(cache counters: (.*)\)", text).group(1)
+        counters = {key: int(value)
+                    for key, value in re.findall(r"(\w+)=(\d+)", line)}
+        assert counters["result_hits"] > 0, jobs
+        assert counters["trace_hits"] > 0, jobs
+        assert counters["result_misses"] == 0, jobs
+
+
 def test_workers_memoise_predictor_passes(monkeypatch):
-    """A worker runs each prediction pass once per (workload, scale,
-    cache directory, predictor kind), and only for cells that use it."""
-    from repro.experiments import parallel
+    """A worker's runner runs each prediction pass once per (workload,
+    scale, cache directory, predictor kind), and only for cells that
+    use it."""
+    from repro.experiments import parallel, runner
     calls = {"address": 0, "value": 0}
 
     def counting(kind, real):
@@ -147,11 +167,11 @@ def test_workers_memoise_predictor_passes(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(parallel, "_WORKER_STATE", {})
-    monkeypatch.setattr(parallel, "load_outcomes",
-                        counting("address", parallel.load_outcomes))
-    monkeypatch.setattr(parallel, "value_outcomes",
-                        counting("value", parallel.value_outcomes))
+    parallel._worker_runner.cache_clear()
+    monkeypatch.setattr(runner, "load_outcomes",
+                        counting("address", runner.load_outcomes))
+    monkeypatch.setattr(runner, "value_outcomes",
+                        counting("value", runner.value_outcomes))
     run_cells([("eqntott", letter, width)
                for letter in ("A", "I", "J") for width in (4, 8)],
               SCALE, jobs=1)
