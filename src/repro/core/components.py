@@ -38,8 +38,7 @@ as ``SimResult.<FIELD>``.
 from collections import deque
 from heapq import heappop, heappush
 
-from ..memdep import (DEFAULT_ENTRIES, DEFAULT_STORE_SET, FLUSH_PENALTY,
-                      MDPT, MemDepStats)
+from ..memdep import FLUSH_PENALTY, MDPT, MemDepStats
 from ..trace.records import BRC, LD, ST
 from .branchspecstats import BranchSpecStats
 from .config import MEM_SPEC_MDPT
@@ -146,10 +145,7 @@ class MemorySpeculation(Recovery):
 
     def __init__(self, scheduler, core):
         super().__init__(scheduler, core)
-        config = scheduler.config
-        self.mdpt = MDPT(entries=config.mdpt_entries or DEFAULT_ENTRIES,
-                         store_set_size=config.mdpt_store_set
-                         or DEFAULT_STORE_SET)
+        self.mdpt = MDPT.of(scheduler.config)
         self.stats = MemDepStats()
         self.pc_col = scheduler.trace.static.pc
         self.true_store = {}       # load pos -> producing store pos (or -1)
@@ -335,6 +331,10 @@ class MemorySpeculation(Recovery):
         san = self.san
         load_pc = self.pc_col[self.sidx[load]]
         store_pc = self.pc_col[self.sidx[store]]
+        # Every training is recorded as a violation pair, so a run's
+        # ``violation_pairs`` are exactly what its MDPT learned: the
+        # experiment runner derives other table geometries' runs from
+        # that (``MDPT.lossless``).  Keep the two calls paired.
         self.mdpt.train(load_pc, store_pc)
         members = sorted(
             p for p in self.slice_of.get(load, ())

@@ -76,32 +76,44 @@ def cell_label(config, extra_key=None):
 
 
 class SweepProfile:
-    """Observability for one sweep: per-cell wall time + cache counters."""
+    """Observability for one sweep: per-cell wall time + cache counters.
+
+    Each cell's source is ``"cache"`` (read from the disk cache),
+    ``"derived"`` (read off another cell's run, see
+    :meth:`ExperimentRunner.simulate`) or ``"sim"`` (simulated)."""
 
     def __init__(self):
         self.cells = []          # (name, label, width, seconds, source)
         self.cache_counters = {}
         self.wall_seconds = 0.0
 
-    def record(self, cell, seconds, cache_hit):
-        """Record one ``(name, label, width)`` cell; the label is a
-        registered letter or a :func:`cell_label`."""
+    def record(self, cell, seconds, source):
+        """Record one ``(name, label, width)`` cell resolved from
+        ``source``; the label is a registered letter or a
+        :func:`cell_label`."""
         name, label, width = cell
-        self.cells.append((name, label, width, seconds,
-                           "cache" if cache_hit else "sim"))
+        self.cells.append((name, label, width, seconds, source))
 
     def merge_cache_counters(self, counters):
         for key, value in counters.items():
             self.cache_counters[key] = \
                 self.cache_counters.get(key, 0) + value
 
+    def _count(self, source):
+        return sum(1 for cell in self.cells if cell[4] == source)
+
     @property
     def hits(self):
-        return sum(1 for cell in self.cells if cell[4] == "cache")
+        return self._count("cache")
+
+    @property
+    def derived(self):
+        return self._count("derived")
 
     @property
     def misses(self):
-        return len(self.cells) - self.hits
+        """Cells simulated."""
+        return self._count("sim")
 
     @property
     def cell_seconds(self):
@@ -109,9 +121,9 @@ class SweepProfile:
 
     def summary_line(self):
         return ("%d cells in %.1f s wall (%.1f s of cell work; "
-                "%d from cache, %d simulated)"
+                "%d from cache, %d derived, %d simulated)"
                 % (len(self.cells), self.wall_seconds, self.cell_seconds,
-                   self.hits, self.misses))
+                   self.hits, self.derived, self.misses))
 
     def render(self, limit=12):
         """Profile table (slowest cells first) via metrics.tables."""

@@ -6,7 +6,9 @@ runner caches them in memory so regenerating every figure and table
 costs each simulation once.  Branch- and address-prediction passes are
 likewise cached per trace (they are configuration independent), and so
 is each workload's lint report, which every lint check run on the
-runner shares.
+runner shares.  A configuration that only resizes the MDPT is derived
+from the default-geometry run whenever neither table can lose a pair
+that run trained (:meth:`ExperimentRunner.simulate`).
 
 Two optional layers sit under the in-memory memo:
 
@@ -18,11 +20,14 @@ Two optional layers sit under the in-memory memo:
   so exhibits are identical either way.
 """
 
+import copy
+import json
 import time
 from functools import partial
 
 from ..cache import DiskCache
 from ..core.config import PAPER_ISSUE_WIDTHS, config_letters, paper_config
+from ..core.results import SimResult
 from ..core.simulator import (
     branch_outcomes,
     load_outcomes,
@@ -30,6 +35,7 @@ from ..core.simulator import (
     value_outcomes,
     value_predictor_kind,
 )
+from ..memdep import MDPT
 from ..workloads.registry import (
     SUITE,
     cached_branch_plan,
@@ -42,6 +48,23 @@ from .parallel import SweepProfile, cell_label, run_cells
 def _branch_from_payload(payload):
     from ..bpred.runner import BranchRunResult
     return BranchRunResult.from_payload(payload)
+
+
+def _memo_key(name, config, extra_key):
+    """What the disk cache keys a result on, short of the scale and the
+    code version, which every cell of one runner shares."""
+    return (name, json.dumps(config.fingerprint(), sort_keys=True),
+            json.dumps(extra_key, sort_keys=True))
+
+
+def _renamed(result, config):
+    """``result`` as ``config``'s result: a copy under ``config.name``
+    when the two differ (configurations with one fingerprint share a
+    result)."""
+    if result.config_name == config.name:
+        return result
+    return SimResult.from_payload(dict(result.to_payload(),
+                                       config_name=config.name))
 
 
 class ExperimentRunner:
@@ -66,6 +89,15 @@ class ExperimentRunner:
         Attach a scheduler sanitizer (``repro.lint.sanitize``) to every
         simulation this runner performs; any invariant violation raises.
         Cache hits are results of *previous* runs and are not re-checked.
+
+    Cells resolve through one in-memory memo keyed like the disk
+    cache's results (workload, config fingerprint, extra key), which
+    :meth:`result`, :meth:`prefetch` and the MDPT derivation fill.  A
+    configuration that sets ``mdpt_entries`` or ``mdpt_store_set`` is a
+    *derived* cell when neither its table nor the default one can lose
+    a pair the default-geometry run trained: its result is that run's,
+    under its own name.  A derived cell is neither written to the disk
+    cache nor re-run under the sanitizer: its run is the default run.
     """
 
     def __init__(self, scale=1.0, widths=PAPER_ISSUE_WIDTHS, names=None,
@@ -94,7 +126,8 @@ class ExperimentRunner:
         self.profile = SweepProfile()
         if self.cache is not None:
             self.profile.cache_counters = self.cache.counters
-        self._results = {}
+        self._results = {}      # (name, letter, width) -> result
+        self._memo = {}         # _memo_key -> result
         self._branch = {}
         self._loads = {}
         self._values = {}       # (name, predictor kind) -> vpred pass
@@ -162,24 +195,41 @@ class ExperimentRunner:
         :meth:`simulate` of the letter's configuration."""
         key = (name, letter, width)
         if key not in self._results:
-            self._results[key] = self.simulate(name,
-                                               paper_config(letter, width))
+            self._results[key] = self._memoised(
+                name, paper_config(letter, width))
         return self._results[key]
 
     def simulate(self, name, config, extra_key=None, load_prediction=None):
-        """Disk-cached, profiled simulation of any config: the one path
-        every runner cell takes, paper letters (:meth:`result`), pool
-        workers and the extension exhibits' variants alike.
+        """Memoised, derived, disk-cached or simulated result of any
+        config, profiled: the one path every runner cell takes, paper
+        letters (:meth:`result`), pool workers and the extension
+        exhibits' variants alike.
 
-        On a cache miss it hands ``simulate_trace`` this runner's memo
-        of predictor passes and the workload's static plans, as
-        callables that run only when the config uses them; a warm cache
-        skips them along with the simulation.  ``load_prediction``
-        overrides the memo's address pass (an object or a zero-argument
-        callable); ``extra_key`` must then distinguish the input the
-        config fingerprint cannot express (e.g. which predictor table
-        produced ``load_prediction``).
+        The memo comes first; it holds what :meth:`result`,
+        :meth:`prefetch` and the derivation resolved (a worker never
+        fills it).  A config that sets ``mdpt_entries`` or
+        ``mdpt_store_set`` is then derived from the same config at the
+        default geometry when :meth:`MDPT.lossless
+        <repro.memdep.MDPT.lossless>` holds for both tables on that
+        run's ``violation_pairs``; a derived cell is not written to the
+        disk cache and not re-run under the sanitizer.  Otherwise the
+        disk cache answers, or the cell is simulated: ``simulate_trace``
+        gets this runner's memo of predictor passes and the workload's
+        static plans, as callables that run only when the config uses
+        them.  ``load_prediction`` overrides the memo's address pass (an
+        object or a zero-argument callable); ``extra_key`` must then
+        distinguish the input the config fingerprint cannot express
+        (e.g. which predictor table produced ``load_prediction``).
         """
+        memoised = self._memo.get(_memo_key(name, config, extra_key))
+        if memoised is not None:
+            return _renamed(memoised, config)
+        if config.mdpt_entries is not None \
+                or config.mdpt_store_set is not None:
+            derived = self._derived(name, config, extra_key,
+                                    load_prediction)
+            if derived is not None:
+                return derived
         started = time.perf_counter()
         result = None
         if self.cache is not None:
@@ -205,13 +255,46 @@ class ExperimentRunner:
             if self.cache is not None:
                 self.cache.store_result(result, name, self.scale, config,
                                         extra=extra_key)
+        self._record(name, config, extra_key, started,
+                     "cache" if cache_hit else "sim")
+        return result
+
+    def _memoised(self, name, config, extra_key=None,
+                  load_prediction=None):
+        """:meth:`simulate`, remembered in the memo."""
+        result = self.simulate(name, config, extra_key, load_prediction)
+        self._memo.setdefault(_memo_key(name, config, extra_key), result)
+        return result
+
+    def _derived(self, name, config, extra_key, load_prediction):
+        """``config``'s result read off the default-geometry run, or
+        None when either table could lose a pair that run trained.
+
+        The geometry changes nothing but the MDPT, and the default run
+        trained its table on exactly its ``violation_pairs``.  If
+        neither table can lose one of them, both hold what an unbounded
+        table holds after every step; so, by induction over the run's
+        MDPT operations, the variant makes the same lookups, gets the
+        same answers and ends with the same schedule and counters."""
+        default = copy.copy(config)
+        default.mdpt_entries = default.mdpt_store_set = None
+        base = self._memoised(name, default, extra_key, load_prediction)
+        pairs = base.memdep.violation_pairs
+        if not (MDPT.of(default).lossless(pairs)
+                and MDPT.of(config).lossless(pairs)):
+            return None
+        started = time.perf_counter()
+        result = _renamed(base, config)
+        self._record(name, config, extra_key, started, "derived")
+        return result
+
+    def _record(self, name, config, extra_key, started, source):
         # Resolved inline: being serial, the cell's time is wall time as
         # well as cell work.
         seconds = time.perf_counter() - started
         self.profile.record((name, cell_label(config, extra_key),
-                             config.issue_width), seconds, cache_hit)
+                             config.issue_width), seconds, source)
         self.profile.wall_seconds += seconds
-        return result
 
     def results(self, letter, width, names=None):
         """Results for each workload at one (configuration, width)."""
@@ -254,8 +337,10 @@ class ExperimentRunner:
             sanitize=self.sanitize)
         if self.sanitize:
             self.sanitized_runs += profile.misses
-        for cell, result in zip(cells, results):
-            self._results[cell] = result
+        for (name, letter, width), result in zip(cells, results):
+            self._results[(name, letter, width)] = result
+            self._memo.setdefault(
+                _memo_key(name, paper_config(letter, width), None), result)
         self.profile.cells.extend(profile.cells)
         self.profile.wall_seconds += profile.wall_seconds
         if self.cache is not None:

@@ -47,8 +47,32 @@ class MDPT:
         self.trainings = 0
         self.collisions = 0
 
+    @classmethod
+    def of(cls, config):
+        """The table a machine configuration's run builds: its
+        ``mdpt_entries`` x ``mdpt_store_set`` geometry, where ``None``
+        means the module default."""
+        return cls(entries=config.mdpt_entries or DEFAULT_ENTRIES,
+                   store_set_size=config.mdpt_store_set
+                   or DEFAULT_STORE_SET)
+
     def _index(self, pc):
         return (pc >> 2) & (self.entries - 1)
+
+    def lossless(self, pairs):
+        """True when a table of this geometry, trained on the
+        ``(load PC, store PC)`` pairs in any order and multiplicity,
+        never replaces a tag (the load PCs map to distinct indexes) and
+        never drops a store PC (no load PC has more distinct stores than
+        the store-set size).  Such a table holds, after every step, what
+        an unbounded table holds, so it answers every lookup the same
+        way."""
+        stores = {}
+        for load_pc, store_pc in pairs:
+            stores.setdefault(load_pc, set()).add(store_pc)
+        indexes = {self._index(load_pc) for load_pc in stores}
+        return len(indexes) == len(stores) and all(
+            len(pcs) <= self.store_set_size for pcs in stores.values())
 
     def store_set(self, load_pc):
         """Predicted store-PC set for ``load_pc`` (most recent last), or

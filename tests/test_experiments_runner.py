@@ -76,3 +76,29 @@ def test_profile_tells_mdpt_geometries_apart():
     assert len(set(geometries)) == len(geometries)
     assert "F" in geometries            # the default geometry
     assert all(label == "A" or label.startswith("F") for label in labels)
+
+
+def test_default_mdpt_cell_runs_once_and_geometries_derive(monkeypatch):
+    """Without a disk cache, the F/w8 cell memory_speculation resolved
+    serves mdpt_sensitivity's default row and the derivation of the
+    other eleven geometries: the scheduler runs it once."""
+    from repro.core.scheduler import WindowScheduler
+    from repro.experiments.extensions import (memory_speculation,
+                                              mdpt_sensitivity)
+    runs = []
+    real_run = WindowScheduler.run
+
+    def counting_run(scheduler, *args, **kwargs):
+        runs.append(scheduler.config.fingerprint())
+        return real_run(scheduler, *args, **kwargs)
+
+    monkeypatch.setattr(WindowScheduler, "run", counting_run)
+    runner = ExperimentRunner(scale=0.01, widths=(8,), names=("eqntott",))
+    memory_speculation(runner)
+    mdpt_sensitivity(runner)
+    assert runs.count(paper_config("F", 8).fingerprint()) == 1
+    derived = [label for _, label, _, _, source in runner.profile.cells
+               if source == "derived"]
+    assert len(derived) == 11 == len(set(derived))
+    assert all(label.startswith("F+mdpt") for label in derived)
+    assert "11 derived" in runner.profile.summary_line()

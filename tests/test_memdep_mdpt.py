@@ -6,6 +6,8 @@ isolation before the scheduler tests exercise them in the timing model.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.memdep import (
     COUNTER_MAX,
@@ -19,6 +21,17 @@ from repro.memdep import (
 
 LOAD = 0x1000
 STORE = 0x2000
+
+#: Small PC alphabets for the ``lossless`` properties: six load PCs at
+#: consecutive indexes (so tables of 1-4 entries alias some) and four
+#: store PCs (so 1-3-entry store sets overflow).
+LOADS = [LOAD + 4 * k for k in range(6)]
+STORES = [STORE + 4 * k for k in range(4)]
+
+trainings = st.lists(st.tuples(st.sampled_from(LOADS),
+                               st.sampled_from(STORES)), max_size=24)
+geometries = st.tuples(st.sampled_from([1, 2, 4, 8]),
+                       st.sampled_from([1, 2, 3]))
 
 
 def test_constants_sane():
@@ -151,3 +164,42 @@ def test_stats_merge_and_payload_round_trip():
     restored = MemDepStats.from_payload(a.to_payload())
     assert restored.to_payload() == a.to_payload()
     assert restored.distinct_pairs == a.distinct_pairs
+
+
+def _unbounded():
+    """A table no training over the alphabets can make lose a pair."""
+    return MDPT(entries=64, store_set_size=len(STORES))
+
+
+@given(trainings, geometries)
+def test_lossless_iff_training_loses_nothing(sequence, geometry):
+    """``lossless`` holds exactly when training on the sequence replaces
+    no tag and never shortens a store list."""
+    entries, store_set = geometry
+    table = MDPT(entries=entries, store_set_size=store_set)
+    dropped = False
+    for load_pc, store_pc in sequence:
+        entry = table._table.get(table._index(load_pc))
+        held = list(entry[2]) if entry and entry[0] == load_pc else None
+        table.train(load_pc, store_pc)
+        if held is not None and store_pc not in held:
+            dropped |= len(entry[2]) == len(held)
+    assert table.lossless(sequence) == \
+        (table.collisions == 0 and not dropped)
+
+
+@given(trainings, geometries)
+def test_lossless_table_answers_like_an_unbounded_one(sequence, geometry):
+    """After every step of a sequence it is lossless on, the table
+    answers every load PC as a table too large to lose anything."""
+    entries, store_set = geometry
+    table = MDPT(entries=entries, store_set_size=store_set)
+    if not table.lossless(sequence):
+        return
+    reference = _unbounded()
+    for load_pc, store_pc in sequence:
+        table.train(load_pc, store_pc)
+        reference.train(load_pc, store_pc)
+        for pc in LOADS:
+            assert table.counter(pc) == reference.counter(pc)
+            assert table.store_set(pc) == reference.store_set(pc)
