@@ -3,7 +3,14 @@
 These run the actual suite at a small scale with two widths, so they both
 exercise the full pipeline (workloads -> predictors -> scheduler ->
 exhibits) and assert the headline qualitative results of the paper.
+The report test also pins the whole report body in
+``golden/report_body.json``; after a deliberate output change rewrite it
+with ``PYTHONPATH=src python -m pytest
+tests/test_experiments.py::test_report_generation --regen-golden``.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +33,10 @@ from repro.experiments import (
 
 SCALE = 0.05
 WIDTHS = (4, 16)
+
+#: the report body at SCALE and WIDTHS, one list entry per line, minus
+#: the wall-clock ``_Generated in`` line
+REPORT_GOLDEN = Path(__file__).parent / "golden" / "report_body.json"
 
 
 @pytest.fixture(scope="module")
@@ -183,9 +194,24 @@ def test_table6_triples(runner):
     assert exhibit.headers[:3] == ["op1", "op2", "op3"]
 
 
-def test_report_generation(tmp_path, runner):
+def test_report_generation(tmp_path, runner, regen_golden):
     from repro.experiments.report import generate
     text = generate(scale=SCALE, widths=WIDTHS)
+    body = [line for line in text.split("\n")
+            if not line.startswith("_Generated in")]
+    if regen_golden:
+        with open(REPORT_GOLDEN, "w") as handle:
+            json.dump(body, handle, indent=1)
+            handle.write("\n")
+    with open(REPORT_GOLDEN) as handle:
+        golden = json.load(handle)
+    changed = [i for i, (want, got) in enumerate(zip(golden, body))
+               if want != got]
+    assert body == golden, (
+        "report body differs from %s (%d vs %d lines, first change at "
+        "line %s); rewrite it with --regen-golden only for a deliberate "
+        "output change" % (REPORT_GOLDEN.name, len(body), len(golden),
+                           changed[0] + 1 if changed else "end"))
     assert "# EXPERIMENTS" in text
     assert "Figure 10" in text
     assert "Table 6" in text
