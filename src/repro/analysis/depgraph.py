@@ -152,19 +152,9 @@ class DependenceGraph:
         return max(depths) if depths else 0
 
     def issue_critical_path(self):
-        """Dataflow lower bound on *issue* cycles.
-
-        The simulator reports issue-based cycles (last issue + 1); the
-        matching dataflow bound is the latest earliest-issue time plus
-        one, i.e. ``max(depth[i] - latency[i]) + 1``.
-        """
-        depths = self.depths()
-        if not depths:
-            return 0
-        lat = self.trace.static.lat
-        sidx = self.trace.sidx
-        return max(depth - lat[sidx[i]]
-                   for i, depth in enumerate(depths)) + 1
+        """Dataflow lower bound on *issue* cycles
+        (:func:`issue_cycles` of this graph's depths)."""
+        return issue_cycles(self.trace, self.depths())
 
     def critical_path_members(self):
         """One longest path, as a list of positions (oldest first)."""
@@ -196,6 +186,21 @@ class DependenceGraph:
         if not cycles:
             return 0.0
         return len(self.preds) / cycles
+
+
+def issue_cycles(trace, depths):
+    """Dataflow lower bound on the *issue* cycles of ``trace`` given the
+    per-position ``depths`` of one of its dependence graphs.
+
+    The simulator reports issue-based cycles (last issue + 1); the
+    matching dataflow bound is the latest earliest-issue time plus
+    one, i.e. ``max(depth[i] - latency[i]) + 1`` (0 for no depths).
+    """
+    if not depths:
+        return 0
+    lat = trace.static.lat
+    sidx = trace.sidx
+    return max(depth - lat[sidx[i]] for i, depth in enumerate(depths)) + 1
 
 
 def restructured_depths(trace, collapse=False, cut_addr_loads=None,

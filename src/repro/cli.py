@@ -46,6 +46,7 @@ from functools import partial
 from .collapse import CollapseRules
 from .core import MachineConfig, config_letters, paper_config, \
     simulate_many, simulate_trace
+from .errors import ConfigError
 from .metrics import render_table
 from .trace import TraceStats, load_trace, save_trace, signature_mix
 from .workloads import SUITE, WORKLOADS, get_workload
@@ -140,12 +141,16 @@ def cmd_disasm(args):
 def _build_config(args):
     if args.config:
         config = paper_config(args.config, args.width)
+        if args.vspec and config.value_spec:
+            raise ConfigError(
+                "--vspec: configuration %s already speculates values "
+                "(value_spec=%r)" % (args.config, config.value_spec))
         if args.elim or args.vspec:
-            rules = config.collapse_rules
-            config = MachineConfig(
-                args.width, collapse_rules=rules,
-                load_spec=config.load_spec,
-                node_elimination=args.elim, value_spec=args.vspec,
+            # The letter keeps every mechanism; MachineConfig rejects an
+            # extension it cannot carry.
+            config = paper_config(
+                args.config, args.width, node_elimination=args.elim,
+                value_spec=args.vspec or config.value_spec,
                 name=config.name + ("+elim" if args.elim else "")
                 + ("+vspec" if args.vspec else ""))
         return config
@@ -157,8 +162,8 @@ def _build_config(args):
 
 
 def cmd_simulate(args):
-    trace = _load_target(args.workload, args.scale)
     config = _build_config(args)
+    trace = _load_target(args.workload, args.scale)
     plans = {}
     if args.workload in WORKLOADS:
         # The static plans derive from the workload's assembly; a saved

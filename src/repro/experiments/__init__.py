@@ -10,11 +10,9 @@ from .exhibit import (
     ExhibitSpec,
     all_exhibits,
     exhibit_requirements,
-    get_exhibit,
     register_exhibit,
 )
 from .figures import (
-    ALL_FIGURES,
     figure2,
     figure3,
     figure4,
@@ -37,15 +35,12 @@ from .extensions import (
 )
 from .parallel import SweepProfile, run_cells
 from .runner import ExperimentRunner
-from .tables import ALL_TABLES, table1, table2, table3, table4, table5, \
-    table6
+from .tables import table1, table2, table3, table4, table5, table6
 
 __all__ = [
     "Exhibit", "ExhibitSpec", "ExperimentRunner", "SweepProfile",
     "run_cells",
-    "all_exhibits", "exhibit_requirements", "get_exhibit",
-    "register_exhibit",
-    "ALL_FIGURES", "ALL_TABLES",
+    "all_exhibits", "exhibit_requirements", "register_exhibit",
     "figure2", "figure3", "figure4", "figure5", "figure6", "figure7",
     "figure8", "figure9", "figure10",
     "table1", "table2", "table3", "table4", "table5", "table6",

@@ -111,10 +111,6 @@ def all_exhibits():
                         key=lambda spec: (spec.order, spec.key)))
 
 
-def get_exhibit(key):
-    return _REGISTRY[key]
-
-
 def exhibit_requirements():
     """Simulation demand of the registered exhibits.
 

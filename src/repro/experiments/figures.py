@@ -17,10 +17,6 @@ from ..workloads.registry import NON_POINTER_CHASING, POINTER_CHASING
 from .exhibit import Exhibit, register_exhibit
 
 
-def _width_labels(runner):
-    return [WIDTH_LABELS.get(w, str(w)) for w in runner.widths]
-
-
 def _ipc_exhibit(runner, key, title, names):
     letters = config_letters()
     headers = ["width"] + list(letters)
@@ -185,10 +181,3 @@ def figure10(runner):
         rows.append(row)
     return Exhibit("Figure 10", "Distance between collapsed instructions "
                    "(% of collapse events)", headers, rows, precision=1)
-
-
-ALL_FIGURES = {
-    "figure2": figure2, "figure3": figure3, "figure4": figure4,
-    "figure5": figure5, "figure6": figure6, "figure7": figure7,
-    "figure8": figure8, "figure9": figure9, "figure10": figure10,
-}

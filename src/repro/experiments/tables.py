@@ -153,9 +153,3 @@ def table6(runner, top=13):
     return _signature_table(runner, "Table 6",
                             "Collapsed triple dependences",
                             "triple_signatures", top)
-
-
-ALL_TABLES = {
-    "table1": table1, "table2": table2, "table3": table3,
-    "table4": table4, "table5": table5, "table6": table6,
-}

@@ -48,9 +48,8 @@ reported as aliased.
 """
 
 from ..isa.registers import reg_name
-from .cfg import ControlFlowGraph
 from .dataflow import definite_assignment, reg_reads
-from .findings import Finding, SEV_WARNING
+from .findings import SEV_WARNING, CheckResult, Finding
 from .induction import (
     AFFINE,
     INV,
@@ -59,7 +58,7 @@ from .induction import (
     LoopValues,
     combine_sum,
 )
-from .loops import LoopForest
+from .sites import Site, SiteClassification
 
 CLASS_STRIDE = "stride"
 CLASS_AFFINE = "affine"
@@ -98,43 +97,37 @@ RELOCK_MISSES = 2
 #: per-PC checks need this many observations to be meaningful
 MIN_OBSERVATIONS = 16
 #: slack on the delta-change budget for predictable sites, on top of
-#: the entry-derived term (see :func:`check_predictable_sites`):
+#: the entry-derived term (see :func:`_check_load_stream`):
 #: absorbs the very first delta of the run and degenerate
 #: single-iteration entries
 STABILITY_BASE = 4
 
 
-class LoadSite:
+class LoadSite(Site):
     """One static load with its address classification."""
 
-    __slots__ = ("index", "line", "pc", "cls", "stride", "loop", "note")
+    __slots__ = ("stride",)
 
     def __init__(self, index, line, pc, cls, stride=None, loop=None,
                  note=""):
-        self.index = index
-        self.line = line
-        self.pc = pc
-        self.cls = cls
+        Site.__init__(self, index, line, pc, cls, loop, note)
         self.stride = stride    # per-iteration stride when known
-        self.loop = loop        # innermost Loop or None
-        self.note = note
 
     def __repr__(self):
         return "<LoadSite #%d %s stride=%r>" % (self.index, self.cls,
                                                 self.stride)
 
 
-class AddressClassification:
+class AddressClassification(SiteClassification):
     """Per-program classification of every static load."""
 
+    CLASSES = ALL_CLASSES
+    COVERAGE_CAP = COVERAGE_CAP
+    TABLE_ENTRIES = 4096
+
     def __init__(self, program, cfg=None, forest=None):
-        self.program = program
-        self.cfg = cfg if cfg is not None else ControlFlowGraph(program)
-        self.forest = forest if forest is not None \
-            else LoopForest(self.cfg)
+        SiteClassification.__init__(self, program, cfg, forest)
         self.values = LoopValues(program, self.cfg, self.forest)
-        self.sites = []
-        self.by_index = {}
         self._classify()
 
     def _classify(self):
@@ -183,68 +176,16 @@ class AddressClassification:
 
     # ------------------------------------------------------------------
 
-    def class_counts(self):
-        """Static site count per class."""
-        counts = dict.fromkeys(ALL_CLASSES, 0)
-        for site in self.sites:
-            counts[site.cls] += 1
-        return counts
-
-    def dynamic_class_counts(self, trace):
-        """Dynamic load count per class for a trace of this program."""
-        counts = dict.fromkeys(ALL_CLASSES, 0)
-        by_index = self.by_index
-        for s in trace.sidx:
-            site = by_index.get(s)
-            if site is not None:
-                counts[site.cls] += 1
-        return counts
-
-    def coverage_bound(self, trace):
-        """Static upper bound on the two-delta *coverage* of ``trace``:
-        the fraction of dynamic loads whose prediction the confidence
-        gate may use, weighting each load by its site's class cap."""
-        counts = self.dynamic_class_counts(trace)
-        total = sum(counts.values())
-        if not total:
-            return 1.0
-        weighted = sum(COVERAGE_CAP[cls] * n for cls, n in counts.items())
-        return weighted / total
-
-    def aliased_indices(self, table_entries=4096):
-        """Load sites whose PCs collide in a direct-mapped table of
-        ``table_entries`` entries (word-aligned indexing)."""
-        groups = {}
-        for site in self.sites:
-            groups.setdefault((site.pc >> 2) & (table_entries - 1),
-                              []).append(site.index)
-        aliased = set()
-        for members in groups.values():
-            if len(members) > 1:
-                aliased.update(members)
-        return aliased
-
     def summary_rows(self):
         """Rows (index, line, class, stride, loop-header line, depth)
         for the CLI ``--addr`` table."""
         rows = []
-        instrs = self.program.instructions
         for site in self.sites:
-            if site.loop is not None:
-                header_ins = instrs[site.loop.header]
-                loop_line = header_ins.line if header_ins.line \
-                    is not None else 0
-                depth = site.loop.depth
-            else:
-                loop_line = "-"
-                depth = 0
             stride = site.stride if site.stride is not None else "?"
             if site.cls in (CLASS_CHASE, CLASS_IRREGULAR,
                             CLASS_STRAIGHT):
                 stride = "-"
-            rows.append([site.index,
-                         site.line if site.line is not None else 0,
-                         site.cls, stride, loop_line, depth])
+            rows.append(self._row(site, stride))
         return rows
 
 
@@ -287,27 +228,33 @@ def check_addr_untracked(program, cfg, file="<program>"):
 # Dynamic cross-check against per-PC predictor histograms.
 # ----------------------------------------------------------------------
 
-class AddressCheck:
-    """Result of :func:`cross_check` for one (program, trace) pair."""
+class LoadStreamCheck(CheckResult):
+    """The per-PC and coverage evidence of a load-stream cross-check
+    (:func:`cross_check`, ``valueflow_cross_check``)."""
 
-    __slots__ = ("violations", "checked_sites", "skipped_aliased",
-                 "skipped_short", "coverage_bound", "dynamic_coverage",
-                 "steady_accuracy", "predictable_share", "loads")
+    __slots__ = ("checked_sites", "skipped_aliased", "skipped_short",
+                 "coverage_bound", "dynamic_coverage", "steady_accuracy",
+                 "loads")
 
     def __init__(self):
-        self.violations = []
+        CheckResult.__init__(self)
         self.checked_sites = 0
         self.skipped_aliased = 0
         self.skipped_short = 0
         self.coverage_bound = 1.0
         self.dynamic_coverage = 0.0
         self.steady_accuracy = 0.0
-        self.predictable_share = 0.0
         self.loads = 0
 
-    @property
-    def ok(self):
-        return not self.violations
+
+class AddressCheck(LoadStreamCheck):
+    """Result of :func:`cross_check` for one (program, trace) pair."""
+
+    __slots__ = ("predictable_share",)
+
+    def __init__(self):
+        LoadStreamCheck.__init__(self)
+        self.predictable_share = 0.0
 
 
 def count_loop_entries(trace, loops):
@@ -328,24 +275,33 @@ def count_loop_entries(trace, loops):
     return entries
 
 
-def check_predictable_sites(check, sites, predictable, trace, per_pc,
-                            aliased, relock, unstable):
-    """The per-site half of both load-stream cross-checks.
+def _check_load_stream(check, analysis, predictable, trace, result,
+                       table_entries, relock, unstable, capped):
+    """The half both load-stream cross-checks share: ``result``'s
+    per-PC histograms and load coverage against the sites ``analysis``
+    (a :class:`~repro.lint.sites.SiteClassification`) observes.
 
-    Every site whose class is in ``predictable`` and whose PC has at
-    least :data:`MIN_OBSERVATIONS` observations in the
-    :class:`~repro.addrpred.runner.PerPCStat` histograms ``per_pc`` must
-    satisfy the two-delta soundness floor
+    Every observed site whose class is in ``predictable`` and whose PC
+    has at least :data:`MIN_OBSERVATIONS` observations in the
+    :class:`~repro.addrpred.runner.PerPCStat` histograms
+    ``result.per_pc`` must satisfy the two-delta soundness floor
     ``correct >= count - WARMUP_MISSES - RELOCK_MISSES * delta_changes``,
     and its delta changes must fit a stability budget of
     :data:`STABILITY_BASE` plus :data:`RELOCK_MISSES` per dynamic entry
-    into its innermost loop.  Sites in ``aliased`` (static indices whose
-    table entry collides) are exempt.  Violations are worded by the
-    ``relock`` and ``unstable`` templates, filled with ``(line, index,
-    class, correct, count, floor, delta_changes)`` and ``(line, index,
-    class, delta_changes, count, loop_entries, budget)``.  Updates the
-    site counters, ``steady_accuracy`` and ``violations`` of ``check``.
+    into its innermost loop; sites whose entries collide in a table of
+    ``table_entries`` entries are exempt.  The class-capped coverage
+    bound must dominate the fraction of loads whose prediction the
+    confidence gate used.  Violations are worded by the ``relock``,
+    ``unstable`` and ``capped`` templates, filled with ``(line, index,
+    class, correct, count, floor, delta_changes)``, ``(line, index,
+    class, delta_changes, count, loop_entries, budget)`` and ``(bound,
+    dynamic coverage)``.  Fills the per-PC and coverage fields of
+    ``check``; returns the dynamic class counts, or None when the trace
+    has no loads.
     """
+    sites = analysis.observed
+    per_pc = result.per_pc
+    aliased = analysis.aliased_indices(table_entries)
     site_loops = {site.loop for site in sites
                   if site.cls in predictable and site.loop is not None}
     entries = count_loop_entries(trace, site_loops)
@@ -382,6 +338,17 @@ def check_predictable_sites(check, sites, predictable, trace, per_pc,
                             budget))
     if warm_total:
         check.steady_accuracy = warm_correct / warm_total
+    check.loads = result.loads
+    if not result.loads:
+        return None
+    attempted = sum(1 for used in result.attempted.values() if used)
+    check.dynamic_coverage = attempted / result.loads
+    counts = analysis.dynamic_class_counts(trace)
+    check.coverage_bound = analysis.capped_share(counts)
+    if check.coverage_bound < check.dynamic_coverage:
+        check.violations.append(
+            capped % (check.coverage_bound, check.dynamic_coverage))
+    return counts
 
 
 def cross_check(classification, trace, result, table_entries=4096):
@@ -403,36 +370,26 @@ def cross_check(classification, trace, result, table_entries=4096):
     what the classifier believed.
     """
     check = AddressCheck()
-    per_pc = result.per_pc
-    if per_pc is None:
+    if result.per_pc is None:
         raise ValueError("cross_check needs per-PC stats: run the "
                          "predictor with per_pc=True")
-    check_predictable_sites(
-        check, classification.sites, PREDICTABLE_CLASSES, trace, per_pc,
-        classification.aliased_indices(table_entries),
+    counts = _check_load_stream(
+        check, classification, PREDICTABLE_CLASSES, trace, result,
+        table_entries,
         relock="line %s: load #%d (%s) broke the two-delta re-lock "
                "bound: %d/%d correct, floor %d with %d delta changes",
         unstable="line %s: load #%d classified %s but its address "
                  "stream changed delta %d times over %d loads across "
                  "%d loop entries (budget %d) — statically claimed "
-                 "constant stride is not constant within the loop")
-    # Aggregate coverage bound: static class caps vs the dynamic
-    # fraction of loads whose prediction the confidence gate used.
-    check.loads = result.loads
-    if result.loads:
-        attempted = sum(1 for used in result.attempted.values() if used)
-        check.dynamic_coverage = attempted / result.loads
-        check.coverage_bound = classification.coverage_bound(trace)
-        counts = classification.dynamic_class_counts(trace)
-        predictable = sum(counts[c] for c in PREDICTABLE_CLASSES)
+                 "constant stride is not constant within the loop",
+        capped="static coverage bound %.3f < dynamic predictor "
+               "coverage %.3f — a chase/irregular class cap is "
+               "violated or loads are misclassified")
+    if counts is not None:
         total = sum(counts.values())
-        check.predictable_share = predictable / total if total else 0.0
-        if check.coverage_bound < check.dynamic_coverage:
-            check.violations.append(
-                "static coverage bound %.3f < dynamic predictor "
-                "coverage %.3f — a chase/irregular class cap is "
-                "violated or loads are misclassified"
-                % (check.coverage_bound, check.dynamic_coverage))
+        if total:
+            check.predictable_share = sum(
+                counts[c] for c in PREDICTABLE_CLASSES) / total
     return check
 
 
@@ -442,5 +399,5 @@ __all__ = [
     "CLASS_STRAIGHT", "CLASS_STRIDE", "COVERAGE_CAP", "LoadSite",
     "MIN_OBSERVATIONS", "PREDICTABLE_CLASSES", "RELOCK_MISSES",
     "STABILITY_BASE", "WARMUP_MISSES", "check_addr_untracked",
-    "check_predictable_sites", "count_loop_entries", "cross_check",
+    "count_loop_entries", "cross_check",
 ]

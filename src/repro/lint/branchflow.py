@@ -77,11 +77,11 @@ from .addrclass import (
     CLASS_STRIDE as ADDR_STRIDE,
     AddressClassification,
 )
-from .cfg import ControlFlowGraph
 from .dae import static_signature
-from .induction import INV, IV, LoopValues
-from .loops import LoopForest
+from .findings import _REL_TOL, CheckResult
+from .induction import INV, IV
 from .memdep import _BOUND_BRANCHES, _Resolver, _is_exact, _join
+from .sites import Site, SiteClassification, lattice
 
 #: branch predictability classes
 CLASS_TRIP = "trip"
@@ -117,17 +117,9 @@ _UP = {
     CLASS_UNKNOWN: frozenset((CLASS_UNKNOWN,)),
 }
 
-_RANK = {cls: len(_UP) - len(up) for cls, up in _UP.items()}
-
-
-def branch_class_leq(a, b):
-    """True when class ``a`` is at least as predictable as ``b``."""
-    return b in _UP[a]
-
-
-def branch_class_join(a, b):
-    """Least upper bound of two branch classes."""
-    return min(_UP[a] & _UP[b], key=lambda cls: (_RANK[cls], cls))
+#: ``branch_class_leq(a, b)``: class ``a`` is at least as predictable
+#: as ``b``; ``branch_class_join(a, b)``: their least upper bound
+branch_class_leq, branch_class_join = lattice(_UP)
 
 
 #: Per-class upper bound on the fraction of dynamic branches whose
@@ -158,8 +150,6 @@ _PC_TABLE_ENTRIES = 8192
 #: backward-cone walk budget (distinct (register, site) states)
 _CONE_BUDGET = 64
 
-_REL_TOL = 1e-9
-
 #: exit-taken loop-exit branches: the *continue* condition is the
 #: negation of the branch condition (``bge exit`` continues while
 #: ``iv <= C - 1``); mirrors memdep's ``_BOUND_BRANCHES`` for the
@@ -175,44 +165,39 @@ _XOR_OPS = frozenset((Opcode.XOR, Opcode.XORCC))
 _CALL_OPS = frozenset((Opcode.CALL, Opcode.JMPL))
 
 
-class BranchSite:
+class BranchSite(Site):
     """Classification of one static conditional branch."""
 
-    __slots__ = ("index", "line", "pc", "cls", "trip", "period", "loop",
-                 "exit_taken", "load_index", "load_cls", "note")
+    __slots__ = ("trip", "period", "exit_taken", "load_index", "load_cls")
 
     def __init__(self, index, line, pc, cls, trip=None, period=None,
                  loop=None, exit_taken=None, load_index=None,
                  load_cls=None, note=""):
-        self.index = index
-        self.line = line
-        self.pc = pc
-        self.cls = cls
+        Site.__init__(self, index, line, pc, cls, loop, note)
         self.trip = trip            # computed trip count (trip class)
         self.period = period        # toggle period (periodic class)
-        self.loop = loop
         #: for loop-exit branches: True when the *taken* edge leaves
         self.exit_taken = exit_taken
         #: unique governing load, when the cc cone is load-fed
         self.load_index = load_index
         self.load_cls = load_cls    # that load's addrclass class
-        self.note = note
 
     def __repr__(self):
         return "<BranchSite #%d %s trip=%r load=%r>" % (
             self.index, self.cls, self.trip, self.load_index)
 
 
-class BranchFlowAnalysis:
+class BranchFlowAnalysis(SiteClassification):
     """Per-program predictability classification of every conditional
     branch, relative to its innermost reducible loop."""
 
+    CLASSES = ALL_BRANCH_CLASSES
+    COVERAGE_CAP = BRANCH_COVERAGE_CAP
+    TABLE_ENTRIES = _PC_TABLE_ENTRIES
+
     def __init__(self, program, cfg=None, forest=None, values=None,
                  addr_classes=None):
-        self.program = program
-        self.cfg = cfg if cfg is not None else ControlFlowGraph(program)
-        self.forest = forest if forest is not None \
-            else LoopForest(self.cfg)
+        SiteClassification.__init__(self, program, cfg, forest)
         if addr_classes is None:
             addr_classes = AddressClassification(
                 program, cfg=self.cfg, forest=self.forest)
@@ -222,8 +207,6 @@ class BranchFlowAnalysis:
         self.table = StaticTable.from_program(program)
         self._resolver = _Resolver(program, self.cfg, self.forest,
                                    self.values)
-        self.sites = []
-        self.by_index = {}
         self._classify()
 
     def _classify(self):
@@ -491,48 +474,6 @@ class BranchFlowAnalysis:
 
     # -- aggregate views -----------------------------------------------
 
-    def class_counts(self):
-        """Static site count per class."""
-        counts = dict.fromkeys(ALL_BRANCH_CLASSES, 0)
-        for site in self.sites:
-            counts[site.cls] += 1
-        return counts
-
-    def dynamic_class_counts(self, trace):
-        """Dynamic conditional-branch count per class for a trace."""
-        counts = dict.fromkeys(ALL_BRANCH_CLASSES, 0)
-        by_index = self.by_index
-        for s in trace.sidx:
-            site = by_index.get(s)
-            if site is not None:
-                counts[site.cls] += 1
-        return counts
-
-    def coverage_bound(self, trace):
-        """Static upper bound on the confident-correct coverage of the
-        combining predictor over ``trace``: each dynamic branch weighted
-        by its class's :data:`BRANCH_COVERAGE_CAP`."""
-        counts = self.dynamic_class_counts(trace)
-        total = sum(counts.values())
-        if not total:
-            return 1.0
-        capped = sum(BRANCH_COVERAGE_CAP[cls] * count
-                     for cls, count in counts.items())
-        return capped / total
-
-    def aliased_indices(self, table_entries=_PC_TABLE_ENTRIES):
-        """Branch sites whose PCs collide in a direct-mapped PC-indexed
-        table of ``table_entries`` entries (word-aligned indexing)."""
-        groups = {}
-        for site in self.sites:
-            slot = (site.pc >> 2) & (table_entries - 1)
-            groups.setdefault(slot, []).append(site.index)
-        aliased = set()
-        for members in groups.values():
-            if len(members) > 1:
-                aliased.update(members)
-        return aliased
-
     def misprediction_floor(self, trace,
                             table_entries=_PC_TABLE_ENTRIES):
         """Guaranteed cold-start mispredictions of the default combining
@@ -649,16 +590,16 @@ class BranchPlan:
 # ----------------------------------------------------------------------
 
 
-class BranchflowCheck:
+class BranchflowCheck(CheckResult):
     """Outcome of :func:`branchflow_cross_check`."""
 
-    __slots__ = ("violations", "conditional", "sites", "floors_checked",
+    __slots__ = ("conditional", "sites", "floors_checked",
                  "coverage_bound", "confident_coverage", "floor",
                  "ceiling", "accuracy", "sim_cycles", "refined_ipc",
                  "early_coverage", "plan_branches", "sim")
 
     def __init__(self):
-        self.violations = []
+        CheckResult.__init__(self)
         self.conditional = 0
         self.sites = 0
         self.floors_checked = 0
@@ -672,10 +613,6 @@ class BranchflowCheck:
         self.early_coverage = None  # config-J early resolves / branch
         self.plan_branches = 0
         self.sim = {}               # letter -> SimResult
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 def branchflow_cross_check(branchflow, trace, result=None,

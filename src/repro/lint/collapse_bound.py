@@ -34,6 +34,7 @@ from ..collapse.classify import Group, merge_category
 from ..collapse.rules import CollapseRules
 from ..trace.records import StaticTable
 from .cfg import ControlFlowGraph
+from .findings import CheckResult
 
 CC_SLOT = 32
 
@@ -191,19 +192,15 @@ class StaticCollapseBound:
         return rows
 
 
-class CollapseCheck:
+class CollapseCheck(CheckResult):
     """Result of :func:`collapse_cross_check` for one program/trace."""
 
-    __slots__ = ("violations", "bound", "events")
+    __slots__ = ("bound", "events")
 
     def __init__(self, bound, events):
-        self.violations = []
+        CheckResult.__init__(self)
         self.bound = bound
         self.events = events
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 def collapse_cross_check(bound, trace, result):

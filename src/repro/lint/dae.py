@@ -47,7 +47,7 @@ occupancy never exceeds the static depth.
 from fractions import Fraction
 
 from ..trace.records import LD, ST
-from .findings import Finding, SEV_WARNING
+from .findings import SEV_WARNING, CheckResult, Finding
 from .recurrence import RecurrenceAnalysis, _CC, _NUM_SLOTS
 
 #: per-loop verdicts
@@ -429,15 +429,15 @@ class DAEPlan:
             len(self.clean), len(self.access_of))
 
 
-class DAECheck:
+class DAECheck(CheckResult):
     """Outcome of :func:`dae_cross_check` (mirrors ``MemDepCheck``)."""
 
-    __slots__ = ("violations", "loops_checked", "clean_loops",
-                 "queued_loops", "poisoned_loops", "skipped_loops",
-                 "peak", "enqueued", "popped", "chase_deps")
+    __slots__ = ("loops_checked", "clean_loops", "queued_loops",
+                 "poisoned_loops", "skipped_loops", "peak", "enqueued",
+                 "popped", "chase_deps")
 
     def __init__(self):
-        self.violations = []
+        CheckResult.__init__(self)
         self.loops_checked = 0
         self.clean_loops = 0
         self.queued_loops = 0
@@ -447,10 +447,6 @@ class DAECheck:
         self.enqueued = 0
         self.popped = 0
         self.chase_deps = 0
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 def dae_cross_check(analysis, trace, result):

@@ -7,10 +7,15 @@ programs always point back at the ``.s`` source).  A
 :class:`LintReport` collects the findings for one lint target plus the
 analysis each registered pass published, and renders the findings in the
 conventional ``file:line: severity: [check] message`` compiler format.
+A :class:`CheckResult` is the outcome of one static-vs-dynamic
+``*_cross_check``.
 """
 
 SEV_ERROR = "error"
 SEV_WARNING = "warning"
+
+#: relative tolerance of the checks' floating-point inequalities
+_REL_TOL = 1e-9
 
 
 class Finding:
@@ -92,4 +97,19 @@ class LintReport:
                                                  len(self.findings))
 
 
-__all__ = ["Finding", "LintReport", "SEV_ERROR", "SEV_WARNING"]
+class CheckResult:
+    """Outcome of one ``*_cross_check``: the violated claims, worded for
+    ``repro lint``, and the evidence a subclass records next to them."""
+
+    __slots__ = ("violations",)
+
+    def __init__(self):
+        self.violations = []
+
+    @property
+    def ok(self):
+        return not self.violations
+
+
+__all__ = ["CheckResult", "Finding", "LintReport", "SEV_ERROR",
+           "SEV_WARNING"]

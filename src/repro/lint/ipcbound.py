@@ -17,11 +17,11 @@ against one trace of the same program:
 2. **static IPC bound >= dataflow IPC** — the per-workload static
    ceiling ``instructions / (best single-run recurrence floor)``
    dominates the matching graph's dataflow-limit IPC.  Graph IPC uses
-   the *issue-based* critical path (``max(depth - latency) + 1``),
-   matching the simulator's cycle count (cycles end at the last issue,
-   not the last completion); the floor is a difference of same-
-   instruction depths — i.e. of issue times — so it never exceeds
-   that path.
+   the *issue-based* critical path (the latest earliest-issue time plus
+   one, :func:`~repro.analysis.depgraph.issue_cycles`), matching the
+   simulator's cycle count (cycles end at the last issue, not the last
+   completion); the floor is a difference of same-instruction depths —
+   i.e. of issue times — so it never exceeds that path.
 
 3. **dataflow IPC >= simulated IPC at the widest machine** — each
    restructured graph's limit dominates the matching simulated
@@ -45,7 +45,9 @@ own dependence graph — each worth a loud failure (exit code 2 in
 """
 
 from ..analysis import DependenceGraph, restructured_depths
+from ..analysis.depgraph import issue_cycles
 from .addrclass import PREDICTABLE_CLASSES
+from .findings import _REL_TOL, CheckResult
 from .recurrence import VARIANTS
 
 #: simulated machine letter per graph variant
@@ -54,19 +56,17 @@ SIM_LETTERS = {"A": "A", "C": "C", "E": "E", "V": "I"}
 #: machine speculates every load, so its graph cuts every load's arcs)
 SIM_GRAPHS = {"A": "A", "C": "C", "E": "E_ideal", "V": "V"}
 
-_REL_TOL = 1e-9
 
-
-class RecurrenceCheck:
+class RecurrenceCheck(CheckResult):
     """Result of :func:`recurrence_cross_check` for one
     (program, trace) pair."""
 
-    __slots__ = ("violations", "n", "cp", "ipc", "sim", "widest",
-                 "static_floor", "static_bound", "weighted",
-                 "loops_checked", "runs_checked")
+    __slots__ = ("n", "cp", "ipc", "sim", "widest", "static_floor",
+                 "static_bound", "weighted", "loops_checked",
+                 "runs_checked")
 
     def __init__(self):
-        self.violations = []
+        CheckResult.__init__(self)
         self.n = 0
         #: variant -> critical path of the matching dynamic graph
         #: (plus "E_ideal" for the all-loads-cut graph)
@@ -83,10 +83,6 @@ class RecurrenceCheck:
         self.weighted = {variant: [0, 0] for variant in VARIANTS}
         self.loops_checked = 0
         self.runs_checked = 0
-
-    @property
-    def ok(self):
-        return not self.violations
 
     def weighted_ceiling(self, variant):
         instructions, cycles = self.weighted[variant]
@@ -154,6 +150,27 @@ def _scan_runs(analysis, trace):
     return runs
 
 
+def _lap(rec, anchors, variant, depths):
+    """Link 1's evidence for one run of ``rec`` (``anchors`` from
+    :func:`_scan_runs`) in ``variant``, whose dynamic graph has the
+    per-position ``depths``: ``(best, laps, lat, growth)`` — the
+    variant's best cycle, the whole laps of it the run completed, its
+    static per-lap latency and the anchor's depth growth over those
+    laps — or None when the variant constrains the run not at all."""
+    best = rec.best[variant]
+    if best is None:
+        return None
+    lat = best.latency[variant]
+    if not lat:
+        return None                 # fully contracted: no constraint
+    positions = anchors.get(best.anchor, ())
+    laps = (len(positions) - 1) // best.dist
+    if laps < 1:
+        return None
+    growth = depths[positions[laps * best.dist]] - depths[positions[0]]
+    return best, laps, lat, growth
+
+
 def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048):
     """Assert the static/dynamic/simulated soundness chain.
 
@@ -168,15 +185,8 @@ def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048):
     check.widest = widest
     depths = variant_depth_arrays(trace, analysis.classes,
                                   value_cut=analysis.value_cut)
-    lat = trace.static.lat
-    sidx = trace.sidx
     for key, array in depths.items():
-        # Issue-based critical path (latest earliest-issue time + 1):
-        # the simulator counts cycles to the last *issue*, not the last
-        # completion, so the matching dataflow floor is max(start) + 1.
-        check.cp[key] = max(depth - lat[sidx[i]]
-                            for i, depth in enumerate(array)) + 1 \
-            if array else 0
+        check.cp[key] = issue_cycles(trace, array)
         check.ipc[key] = check.n / check.cp[key] if check.cp[key] \
             else 0.0
 
@@ -186,19 +196,10 @@ def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048):
         check.runs_checked += 1
         checked_loops.add(id(rec))
         for variant in VARIANTS:
-            best = rec.best[variant]
-            if best is None:
+            lap = _lap(rec, anchors, variant, depths[variant])
+            if lap is None:
                 continue
-            lat = best.latency[variant]
-            if not lat:
-                continue            # fully contracted: no constraint
-            positions = anchors.get(best.anchor, ())
-            laps = (len(positions) - 1) // best.dist
-            if laps < 1:
-                continue
-            array = depths[variant]
-            growth = array[positions[laps * best.dist]] \
-                - array[positions[0]]
+            best, laps, lat, growth = lap
             need = laps * lat
             if growth < need:
                 check.violations.append(

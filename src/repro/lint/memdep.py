@@ -43,6 +43,7 @@ from math import gcd
 
 from ..isa.opcodes import Opcode
 from .cfg import ControlFlowGraph
+from .findings import CheckResult
 from .induction import LoopValues
 from .loops import LoopForest
 
@@ -455,25 +456,20 @@ class MemDepBound:
 # ----------------------------------------------------------------------
 
 
-class MemDepCheck:
+class MemDepCheck(CheckResult):
     """Result of :func:`memdep_cross_check` for one program/trace."""
 
-    __slots__ = ("violations", "dynamic_pairs", "static_pairs",
-                 "mdpt_pairs", "mdpt_violations", "loads_seen",
-                 "stores_seen")
+    __slots__ = ("dynamic_pairs", "static_pairs", "mdpt_pairs",
+                 "mdpt_violations", "loads_seen", "stores_seen")
 
     def __init__(self):
-        self.violations = []
+        CheckResult.__init__(self)
         self.dynamic_pairs = 0
         self.static_pairs = 0
         self.mdpt_pairs = 0
         self.mdpt_violations = 0    # violations the simulated MDPT saw
         self.loads_seen = 0
         self.stores_seen = 0
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 def trace_dependence_pairs(program, trace):

@@ -62,12 +62,12 @@ Two artifacts are derived:
 """
 
 from ..isa.opcodes import Opcode
-from .cfg import ControlFlowGraph
-from .addrclass import check_predictable_sites
+from .addrclass import LoadStreamCheck, _check_load_stream
 from .dataflow import reg_defs
+from .findings import _REL_TOL
 from .induction import AFFINE, INV, IV, LOAD, LoopValues
-from .loops import LoopForest
 from .memdep import _add, _const, _disjoint, _Resolver
+from .sites import Site, SiteClassification, lattice
 
 CLASS_CONSTANT = "constant"
 CLASS_INVARIANT = "invariant"
@@ -103,20 +103,10 @@ _UP = {
     CLASS_UNKNOWN: frozenset((CLASS_UNKNOWN,)),
 }
 
-#: rank by generality: larger = weaker claim (higher in the order)
-_RANK = {cls: len(_UP) - len(up) for cls, up in _UP.items()}
-
-
-def class_leq(a, b):
-    """True when class ``a`` makes at least as strong a claim as ``b``
-    (``a ⊑ b`` in the predictability lattice)."""
-    return b in _UP[a]
-
-
-def class_join(a, b):
-    """Least upper bound: the weakest claim soundly covering both."""
-    common = _UP[a] & _UP[b]
-    return min(common, key=lambda cls: (_RANK[cls], cls))
+#: ``class_leq(a, b)``: class ``a`` makes at least as strong a claim as
+#: ``b`` (``a ⊑ b``); ``class_join(a, b)``: the least upper bound, the
+#: weakest claim soundly covering both
+class_leq, class_join = lattice(_UP)
 
 
 #: per-class upper bound on the fraction of dynamic loads whose stride
@@ -139,51 +129,41 @@ VALUE_COVERAGE_CAP = {
     CLASS_STRAIGHT: 1.0,
 }
 
-#: relative tolerance of the IPC-chain comparisons (matches ipcbound)
-_REL_TOL = 1e-9
-
 _CALL_OPS = frozenset((Opcode.CALL, Opcode.JMPL))
 _TOGGLE_OPS = frozenset((Opcode.XOR, Opcode.XORCC))
 _CONST_OPS = frozenset((Opcode.SETHI,))
 
 
-class ValueSite:
+class ValueSite(Site):
     """One static result-producing instruction with its value class."""
 
-    __slots__ = ("index", "line", "pc", "cls", "stride", "period",
-                 "loop", "note")
+    __slots__ = ("stride", "period")
 
     def __init__(self, index, line, pc, cls, stride=None, period=None,
                  loop=None, note=""):
-        self.index = index
-        self.line = line
-        self.pc = pc
-        self.cls = cls
+        Site.__init__(self, index, line, pc, cls, loop, note)
         self.stride = stride    # per-iteration result stride when known
         self.period = period    # period k for the periodic class
-        self.loop = loop        # innermost Loop or None
-        self.note = note
 
     def __repr__(self):
         return "<ValueSite #%d %s stride=%r period=%r>" % (
             self.index, self.cls, self.stride, self.period)
 
 
-class ValueFlowAnalysis:
+class ValueFlowAnalysis(SiteClassification):
     """Per-program result-value classification of every instruction
     that writes a register."""
 
+    CLASSES = ALL_CLASSES
+    COVERAGE_CAP = VALUE_COVERAGE_CAP
+    TABLE_ENTRIES = 4096
+
     def __init__(self, program, cfg=None, forest=None, values=None):
-        self.program = program
-        self.cfg = cfg if cfg is not None else ControlFlowGraph(program)
-        self.forest = forest if forest is not None \
-            else LoopForest(self.cfg)
+        SiteClassification.__init__(self, program, cfg, forest)
         self.values = values if values is not None \
             else LoopValues(program, self.cfg, self.forest)
         self._resolver = _Resolver(program, self.cfg, self.forest,
                                    self.values)
-        self.sites = []
-        self.by_index = {}
         self.load_sites = []        # the cross-check universe
         self._store_forms = {}      # loop header -> [(index, form)]
         self._classify()
@@ -325,6 +305,11 @@ class ValueFlowAnalysis:
             return None
         return 2
 
+    @property
+    def observed(self):
+        """The load sites: the value predictor observes loads only."""
+        return self.load_sites
+
     # -- derived artifacts ----------------------------------------------
 
     def cut_indices(self):
@@ -344,73 +329,18 @@ class ValueFlowAnalysis:
                 cut.add(site.index)
         return cut
 
-    def class_counts(self):
-        """Static site count per class (all result producers)."""
-        counts = dict.fromkeys(ALL_CLASSES, 0)
-        for site in self.sites:
-            counts[site.cls] += 1
-        return counts
-
-    def dynamic_class_counts(self, trace):
-        """Dynamic *load* count per class for a trace of this program
-        (the value predictor observes loads only)."""
-        counts = dict.fromkeys(ALL_CLASSES, 0)
-        by_index = self.by_index
-        is_load = {site.index for site in self.load_sites}
-        for s in trace.sidx:
-            if s in is_load:
-                counts[by_index[s].cls] += 1
-        return counts
-
-    def coverage_bound(self, trace):
-        """Static upper bound on the stride value predictor's coverage
-        of ``trace``: the fraction of dynamic loads whose prediction
-        the confidence gate may use, weighting each load by its site's
-        class cap."""
-        counts = self.dynamic_class_counts(trace)
-        total = sum(counts.values())
-        if not total:
-            return 1.0
-        weighted = sum(VALUE_COVERAGE_CAP[cls] * n
-                       for cls, n in counts.items())
-        return weighted / total
-
-    def aliased_indices(self, table_entries=4096):
-        """Load sites whose PCs collide in a direct-mapped table of
-        ``table_entries`` entries (word-aligned indexing)."""
-        groups = {}
-        for site in self.load_sites:
-            groups.setdefault((site.pc >> 2) & (table_entries - 1),
-                              []).append(site.index)
-        aliased = set()
-        for members in groups.values():
-            if len(members) > 1:
-                aliased.update(members)
-        return aliased
-
     def summary_rows(self):
         """Rows (index, line, class, stride/period, loop-header line,
         depth) for the CLI ``--value`` table."""
         rows = []
-        instrs = self.program.instructions
         for site in self.sites:
-            if site.loop is not None:
-                header_ins = instrs[site.loop.header]
-                loop_line = header_ins.line if header_ins.line \
-                    is not None else 0
-                depth = site.loop.depth
-            else:
-                loop_line = "-"
-                depth = 0
             if site.cls == CLASS_PERIODIC:
                 detail = "k=%d" % (site.period,)
             elif site.cls in VALUE_PREDICTABLE_CLASSES:
                 detail = site.stride if site.stride is not None else "?"
             else:
                 detail = "-"
-            rows.append([site.index,
-                         site.line if site.line is not None else 0,
-                         site.cls, detail, loop_line, depth])
+            rows.append(self._row(site, detail))
         return rows
 
 
@@ -418,25 +348,15 @@ class ValueFlowAnalysis:
 # Dynamic cross-check: per-PC histograms + the variant-V IPC chain.
 # ----------------------------------------------------------------------
 
-class ValueflowCheck:
+class ValueflowCheck(LoadStreamCheck):
     """Result of :func:`valueflow_cross_check` for one
     (program, trace) pair."""
 
-    __slots__ = ("violations", "checked_sites", "skipped_aliased",
-                 "skipped_short", "coverage_bound", "dynamic_coverage",
-                 "steady_accuracy", "loads", "static_floor",
-                 "static_bound", "graph_cp", "graph_ipc", "sim_ipc",
-                 "widest", "runs_checked")
+    __slots__ = ("static_floor", "static_bound", "graph_cp", "graph_ipc",
+                 "sim_ipc", "widest", "runs_checked")
 
     def __init__(self):
-        self.violations = []
-        self.checked_sites = 0
-        self.skipped_aliased = 0
-        self.skipped_short = 0
-        self.coverage_bound = 1.0
-        self.dynamic_coverage = 0.0
-        self.steady_accuracy = 0.0
-        self.loads = 0
+        LoadStreamCheck.__init__(self)
         #: largest single-run variant-V recurrence floor (cycles)
         self.static_floor = 0
         #: n / floor, None when no run produced a floor (unbounded)
@@ -446,10 +366,6 @@ class ValueflowCheck:
         self.sim_ipc = None
         self.widest = 0
         self.runs_checked = 0
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
@@ -461,10 +377,9 @@ def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
     - **per PC** — ``result`` (or a fresh
       ``run_value_predictor(trace, predictor="stride", per_pc=True)``
       pass) must respect every predictable-class load's soundness
-      floor and stability budget
-      (:func:`~repro.lint.addrclass.check_predictable_sites`, the check
-      the address classification runs), and the trace-weighted class
-      caps must dominate the dynamic confident coverage;
+      floor and stability budget, and the trace-weighted class caps
+      must dominate the dynamic confident coverage (the check the
+      address classification runs);
 
     - **variant V** — with ``recurrence`` (a
       :class:`~repro.lint.recurrence.RecurrenceAnalysis` built over
@@ -485,63 +400,41 @@ def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
         from ..vpred.runner import run_value_predictor
         result = run_value_predictor(trace, predictor="stride",
                                      per_pc=True)
-    per_pc = result.per_pc
-    if per_pc is None:
+    if result.per_pc is None:
         raise ValueError("valueflow_cross_check needs per-PC stats: run "
                          "the predictor with per_pc=True")
-
-    check_predictable_sites(
-        check, valueflow.load_sites, VALUE_PREDICTABLE_CLASSES, trace,
-        per_pc, valueflow.aliased_indices(table_entries),
+    _check_load_stream(
+        check, valueflow, VALUE_PREDICTABLE_CLASSES, trace, result,
+        table_entries,
         relock="line %s: load #%d (%s) broke the stride-value re-lock "
                "bound: %d/%d correct, floor %d with %d stride changes",
         unstable="line %s: load #%d classified %s but its value stream "
                  "changed stride %d times over %d loads across %d loop "
                  "entries (budget %d) — statically claimed invariance "
-                 "does not hold within the loop")
-    check.loads = result.loads
-    if result.loads:
-        attempted = sum(1 for used in result.attempted.values() if used)
-        check.dynamic_coverage = attempted / result.loads
-        check.coverage_bound = valueflow.coverage_bound(trace)
-        if check.coverage_bound < check.dynamic_coverage:
-            check.violations.append(
-                "static value-coverage bound %.3f < dynamic stride "
-                "predictor coverage %.3f — the load-class cap is "
-                "violated or loads are misclassified"
-                % (check.coverage_bound, check.dynamic_coverage))
+                 "does not hold within the loop",
+        capped="static value-coverage bound %.3f < dynamic stride "
+               "predictor coverage %.3f — the load-class cap is "
+               "violated or loads are misclassified")
 
     # ---- variant V: static ceiling >= graph V >= simulated config I
     if recurrence is None:
         return check
     from ..analysis import restructured_depths
-    from .ipcbound import _scan_runs
+    from ..analysis.depgraph import issue_cycles
+    from .ipcbound import _lap, _scan_runs
 
-    cut = recurrence.valueflow.cut_indices()
     depths = restructured_depths(trace, collapse=True,
-                                 cut_value_producers=cut)
+                                 cut_value_producers=recurrence.value_cut)
     n = len(trace)
-    lat = trace.static.lat
-    sidx = trace.sidx
-    check.graph_cp = max(depth - lat[sidx[i]]
-                         for i, depth in enumerate(depths)) + 1 \
-        if depths else 0
+    check.graph_cp = issue_cycles(trace, depths)
     check.graph_ipc = n / check.graph_cp if check.graph_cp else 0.0
 
     for rec, anchors, _ in _scan_runs(recurrence, trace):
-        best = rec.best.get("V")
-        if best is None:
+        lap = _lap(rec, anchors, "V", depths)
+        if lap is None:
             continue
-        cycle_lat = best.latency["V"]
-        if not cycle_lat:
-            continue                # fully contracted: no constraint
-        positions = anchors.get(best.anchor, ())
-        laps = (len(positions) - 1) // best.dist
-        if laps < 1:
-            continue
+        best, laps, cycle_lat, growth = lap
         check.runs_checked += 1
-        growth = depths[positions[laps * best.dist]] \
-            - depths[positions[0]]
         need = laps * cycle_lat
         if growth < need:
             check.violations.append(

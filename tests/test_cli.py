@@ -1,9 +1,17 @@
 """CLI smoke and behaviour tests (python -m repro ...)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main
+import repro
+from repro.cli import _build_config, build_parser, main
 from repro.errors import ReproError
+
+#: the directory holding the ``repro`` package, for child interpreters
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +181,39 @@ def test_unknown_command_rejected():
 def test_unknown_workload_raises(capsys):
     with pytest.raises(ReproError, match="unknown workload 'gcc'"):
         main(["simulate", "gcc", "--scale", "0.03"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "nosuch"],
+    ["simulate", "eqntott", "--scale", "0.03", "--config", "F", "--vspec"],
+    ["simulate", "eqntott", "--scale", "0.03", "--config", "I", "--vspec"],
+])
+def test_module_entry_prints_library_error_as_one_line(argv):
+    """``python -m repro`` turns a ReproError into one stderr line and
+    exit status 2: an unknown workload, value speculation on an MDPT
+    machine (F), and --vspec on a letter that already speculates
+    values (I)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "repro"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("repro: error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("letter, features", [
+    ("G", ["collapse", "mspec-mdpt", "elim"]),
+    ("J", ["collapse", "elim", "vspec-replay", "bspec"]),
+])
+def test_simulate_config_elim_keeps_the_letters_mechanisms(letter,
+                                                           features):
+    args = build_parser().parse_args(
+        ["simulate", "eqntott", "--config", letter, "--elim"])
+    config = _build_config(args)
+    assert config.features() == features
+    assert config.name == "%s/w8+elim" % (letter,)
 
 
 def test_workload_name_not_shadowed_by_stray_file(tmp_path, capsys,

@@ -3,9 +3,15 @@
 
 from fractions import Fraction
 
+import pytest
+
 from repro.asm import assemble
 from repro.emu import trace_program
-from repro.lint import RecurrenceAnalysis, recurrence_cross_check
+from repro.lint import (
+    RecurrenceAnalysis,
+    recurrence_cross_check,
+    valueflow_cross_check,
+)
 from repro.lint.recurrence import CycleBound
 from repro.trace.records import LD
 
@@ -301,3 +307,47 @@ def test_worked_example_matches_documented_table():
     assert acc.ipc_ceiling("C") is None
     assert chase.recmii("A") == chase.recmii("C") \
         == chase.recmii("E") == 2
+
+
+# -- the variant-V chain links both checks share ------------------------
+
+
+@pytest.fixture
+def eqntott_v():
+    """eqntott at scale 0.03 (a fresh analysis per test, which may
+    tamper with it): its trace, and the loop whose variant-V best cycle
+    sets the 96-cycle floor of both checks."""
+    from repro.workloads.registry import cached_trace, get_workload
+    ana = RecurrenceAnalysis(get_workload("eqntott").build(scale=0.03))
+    trace = cached_trace("eqntott", 0.03)
+    assert recurrence_cross_check(ana, trace).static_floor["V"] == 96
+    assert valueflow_cross_check(ana.valueflow, trace,
+                                 recurrence=ana).static_floor == 96
+    rec = next(r for r in ana.loops if r.best["V"] is not None)
+    return ana, trace, rec
+
+
+def test_inflated_v_lap_breaks_link_1_in_both_checks(eqntott_v):
+    ana, trace, rec = eqntott_v
+    rec.best["V"].latency["V"] *= 10
+    recur = recurrence_cross_check(ana, trace)
+    value = valueflow_cross_check(ana.valueflow, trace, recurrence=ana)
+    prefix = "loop@%d variant V: static recurrence floor" % rec.loop.header
+    assert any(v.startswith(prefix) and "exceeds dynamic depth growth" in v
+               for v in recur.violations), recur.violations
+    assert any(v.startswith(prefix) and "exceeds graph-V depth growth" in v
+               for v in value.violations), value.violations
+
+
+def test_sim_ipc_above_graph_v_breaks_link_3_in_both_checks(eqntott_v):
+    ana, trace, _ = eqntott_v
+    fast = recurrence_cross_check(ana, trace).ipc["V"] * 1.01
+    recur = recurrence_cross_check(ana, trace, sim_ipcs={"V": fast})
+    value = valueflow_cross_check(ana.valueflow, trace, recurrence=ana,
+                                  sim_ipc=fast)
+    assert any(v.startswith("variant V: dataflow limit")
+               and "(graph V) < simulated" in v
+               for v in recur.violations), recur.violations
+    assert any(v.startswith("variant V: graph-V dataflow limit")
+               and "< simulated config-I" in v
+               for v in value.violations), value.violations
