@@ -45,7 +45,10 @@ from .config import MEM_SPEC_MDPT
 from .daestats import DAEStats
 from .vspecstats import ValueSpecStats
 
-#: Dependence-arc kinds: address generation of a load or store, other.
+#: Kinds of the producer arcs gathered at window entry: address
+#: generation of a load or store, or other.  Only entry reads them (load
+#: classification, the address-speculation drop, collapsing); past entry
+#: a dependence has no kind.
 _KIND_ADDR = 0
 _KIND_OTHER = 1
 
@@ -112,15 +115,13 @@ class Recovery:
         in ``waits``."""
         core = self.core
         base = max(when + FLUSH_PENALTY, floor)
-        core.pend_addr.pop(p, None)
-        core.bound_addr[p] = 0
-        core.bound_other[p] = base
+        core.bound[p] = base
         if waits:
-            core.pend_other[p] = waits
+            core.pend[p] = waits
             for q in waits:
-                core.consumers.setdefault(q, []).append((p, _KIND_OTHER))
+                core.consumers.setdefault(q, []).append(p)
         else:
-            core.pend_other.pop(p, None)
+            core.pend.pop(p, None)
             heappush(core.future_heap, (base, p))
 
     def drain(self, now):
@@ -212,7 +213,7 @@ class MemorySpeculation(Recovery):
             # tainted or awaiting a violation; keep a consumer edge so
             # this instruction re-blocks if that happens.
             if taint.get(p) or p in pending_violation:
-                consumers.setdefault(p, []).append((i, kind))
+                consumers.setdefault(p, []).append(i)
         self.dep_record[i] = tuple(rec)
         if cls == ST:
             pc = self.pc_col[s]
@@ -263,10 +264,9 @@ class MemorySpeculation(Recovery):
         # The taint flows on to the consumers still waiting for pos.
         t = taint.get(pos)
         if t:
-            core = self.core
-            for c, kind in core.consumers.get(pos, ()):
-                wait = (core.pend_addr if kind == _KIND_ADDR
-                        else core.pend_other).get(c)
+            pend = self.core.pend
+            for c in self.core.consumers.get(pos, ()):
+                wait = pend.get(c)
                 if wait is not None and pos in wait:
                     taint.setdefault(c, set()).update(t)
         return False
@@ -374,13 +374,11 @@ class MemorySpeculation(Recovery):
             self.rearm(p, when, floor, waits)
             # Unissued consumers that folded p's old completion into
             # their bound must re-block on the replay.
-            for c, kind in core.consumers.get(p, ()):
+            for c in core.consumers.get(p, ()):
                 if c in member_set or c in eliminated \
                         or issue_cycle[c] >= 0:
                     continue
-                target = core.pend_addr if kind == _KIND_ADDR \
-                    else core.pend_other
-                target.setdefault(c, set()).add(p)
+                core.pend.setdefault(c, set()).add(p)
 
 
 class ValueSpeculation(Recovery):
@@ -405,7 +403,7 @@ class ValueSpeculation(Recovery):
                 if ok and self.correct.get(p, False)}
         self.stats = ValueSpecStats()
         self.wrong = {}        # consumer -> wrong-predicted load producers
-        self.watch = {}        # load -> [(consumer, kind)] riding on it
+        self.watch = {}        # load -> consumers riding on it
 
     def triage(self, i, arcs, pending, now):
         """Bypass, ride or keep each arc from a confidently predicted
@@ -440,7 +438,7 @@ class ValueSpeculation(Recovery):
                     # ride the bad value until the load verifies.
                     stats.speculated += 1
                     wrong.setdefault(i, set()).add(p)
-                    self.watch.setdefault(p, []).append((i, arc[1]))
+                    self.watch.setdefault(p, []).append(i)
                     if self.issue_cycle[p] >= 0 and not wrong.get(p):
                         heappush(self.events, (self.completion[p], p))
                     if self.san is not None:
@@ -482,7 +480,8 @@ class ValueSpeculation(Recovery):
         replaying = self.replaying
         report = self.san.on_value_squash if self.san is not None \
             else None
-        for w, kind in watchers:
+        bound = core.bound
+        for w in watchers:
             if w in eliminated:
                 continue
             rides = wrong.get(w)
@@ -497,18 +496,15 @@ class ValueSpeculation(Recovery):
                 # Never issued: the dropped arc re-materializes -- fold
                 # the load's completion into the bound and let the
                 # consumer wait like any resolved arc.
-                bounds = core.bound_addr if kind == _KIND_ADDR \
-                    else core.bound_other
-                if when > bounds[w]:
-                    bounds[w] = when
+                if when > bound[w]:
+                    bound[w] = when
             if rides:
                 continue            # still riding another wrong value
             del wrong[w]
             if w in replaying:
                 self.rearm(w, when)
-            elif w not in core.pend_addr and w not in core.pend_other:
-                heappush(core.future_heap,
-                         (max(core.bound_addr[w], core.bound_other[w]), w))
+            elif w not in core.pend:
+                heappush(core.future_heap, (bound[w], w))
 
     def outstanding(self):
         return bool(self.wrong)

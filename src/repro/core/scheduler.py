@@ -164,11 +164,9 @@ class WindowScheduler:
         # Per-position simulation state.
         issue_cycle = [-1] * n
         completion = [0] * n
-        pend_addr = {}          # pos -> set of unissued producer positions
-        pend_other = {}
-        bound_addr = [0] * n    # max completion over resolved deps (0 once
-        bound_other = [0] * n   # issued or eliminated)
-        consumers = {}          # producer pos -> list of (consumer, kind)
+        pend = {}               # pos -> set of unissued producer positions
+        bound = [0] * n         # latest completion among resolved producers
+        consumers = {}          # producer pos -> consumer positions
         # pos -> collapse Group (while in window), collapsing only
         groups = {} if collapsing else None
         # pos -> dynamic basic-block id, within-block collapsing only
@@ -186,10 +184,8 @@ class WindowScheduler:
         # engine rewinds it on a squash.  Each hook is the method of
         # the one component defining it, or None.
         parts, recovery = build_components(self, SimpleNamespace(
-            issue_cycle=issue_cycle, completion=completion,
-            pend_addr=pend_addr, pend_other=pend_other,
-            bound_addr=bound_addr, bound_other=bound_other,
-            consumers=consumers, future_heap=future_heap,
+            issue_cycle=issue_cycle, completion=completion, pend=pend,
+            bound=bound, consumers=consumers, future_heap=future_heap,
             eliminated=eliminated, reg_writer=reg_writer))
         admit = hook(parts, "admit")
         memory_arc = hook(parts, "memory_arc")
@@ -301,13 +297,13 @@ class WindowScheduler:
                                 category, distance, group.sigs,
                                 group.positions)
                             # Inherit the producer's unresolved state.
-                            pb = bound_other[p]
+                            pb = bound[p]
                             if kind == _KIND_ADDR:
                                 if pb > b_addr:
                                     b_addr = pb
                             elif pb > b_other:
                                 b_other = pb
-                            for q in pend_other.get(p, ()):
+                            for q in pend.get(p, ()):
                                 pending.append((q, kind))
                             if merged is None:
                                 merged = [(p, kind)]
@@ -361,10 +357,7 @@ class WindowScheduler:
                     collapse_stats.eliminated += 1
                     issue_cycle[p] = now
                     completion[p] = now
-                    pend_addr.pop(p, None)
-                    pend_other.pop(p, None)
-                    bound_addr[p] = 0
-                    bound_other[p] = 0
+                    pend.pop(p, None)
                     groups.pop(p, None)
                     if track_blocks:
                         block_of.pop(p, None)
@@ -374,38 +367,24 @@ class WindowScheduler:
                     else:
                         window_count -= 1
 
-            # ---- register remaining arcs; bounds are kept for every
-            # unissued instruction because a later consumer may collapse
-            # this one and must inherit its value-availability bound.
-            bound_addr[i] = b_addr
-            bound_other[i] = b_other
+            # ---- register the remaining arcs.  From here on a
+            # dependence has no kind: the instruction waits for the
+            # producers in one pending set, behind one bound, which every
+            # unissued instruction keeps because a later consumer may
+            # collapse it and must inherit its value-availability bound.
+            ready_at = b_addr if b_addr > b_other else b_other
+            bound[i] = ready_at
             if pending:
-                p_addr = p_other = None
-                for p, kind in pending:
-                    if kind == _KIND_ADDR:
-                        if p_addr is None:
-                            p_addr = {p}
-                        elif p in p_addr:
-                            continue
-                        else:
-                            p_addr.add(p)
-                    elif p_other is None:
-                        p_other = {p}
-                    elif p in p_other:
-                        continue
-                    else:
-                        p_other.add(p)
-                    consumers.setdefault(p, []).append((i, kind))
-                if p_addr is not None:
-                    pend_addr[i] = p_addr
-                if p_other is not None:
-                    pend_other[i] = p_other
+                wait = set()
+                for p, _kind in pending:
+                    if p not in wait:
+                        wait.add(p)
+                        consumers.setdefault(p, []).append(i)
+                pend[i] = wait
+            elif ready_at <= now:
+                heappush(ready_heap, i)
             else:
-                ready_at = b_addr if b_addr > b_other else b_other
-                if ready_at <= now:
-                    heappush(ready_heap, i)
-                else:
-                    heappush(future_heap, (ready_at, i))
+                heappush(future_heap, (ready_at, i))
 
             if collapsing:
                 groups[i] = group
@@ -431,7 +410,7 @@ class WindowScheduler:
                     fence_pos = i
 
         # --------------------------------------------------------------
-        def notify(p, now):
+        def notify(p):
             comp = completion[p]
             if keeps is not None and keeps(p):
                 # p may yet be squashed: keep its consumer list so the
@@ -441,30 +420,16 @@ class WindowScheduler:
                 plist = consumers.pop(p, None)
             if not plist:
                 return
-            for c, kind in plist:
-                if kind == _KIND_ADDR:
-                    wait = pend_addr.get(c)
-                    if wait is None or p not in wait:
-                        continue
-                    wait.discard(p)
-                    if not wait:
-                        del pend_addr[c]
-                    if comp > bound_addr[c]:
-                        bound_addr[c] = comp
-                else:
-                    wait = pend_other.get(c)
-                    if wait is None or p not in wait:
-                        continue
-                    wait.discard(p)
-                    if not wait:
-                        del pend_other[c]
-                    if comp > bound_other[c]:
-                        bound_other[c] = comp
-                if c not in pend_addr and c not in pend_other:
-                    ba = bound_addr[c]
-                    bo = bound_other[c]
-                    ready_at = ba if ba > bo else bo
-                    heappush(future_heap, (ready_at, c))
+            for c in plist:
+                wait = pend.get(c)
+                if wait is None or p not in wait:
+                    continue
+                wait.discard(p)
+                if comp > bound[c]:
+                    bound[c] = comp
+                if not wait:
+                    del pend[c]
+                    heappush(future_heap, (bound[c], c))
 
         # --------------------------------------------------------------
         while issued < n or (recovery is not None
@@ -507,11 +472,9 @@ class WindowScheduler:
                     # re-validate before issuing.
                     if issue_cycle[pos] >= 0:
                         continue
-                    if pos in pend_addr or pos in pend_other:
+                    if pos in pend:
                         continue
-                    ba = bound_addr[pos]
-                    bo = bound_other[pos]
-                    ready_at = ba if ba > bo else bo
+                    ready_at = bound[pos]
                     if ready_at > cycle:
                         heappush(future_heap, (ready_at, pos))
                         continue
@@ -530,14 +493,12 @@ class WindowScheduler:
                     # The blocking branch issued (non-speculatively);
                     # resume fetch next cycle.
                     block_fetch = False
-                bound_addr[pos] = 0
-                bound_other[pos] = 0
                 if collapsing:
                     groups.pop(pos, None)
                     if track_blocks:
                         block_of.pop(pos, None)
                 if not held:
-                    notify(pos, cycle)
+                    notify(pos)
 
             if issued_now:
                 last_issue = cycle
