@@ -46,6 +46,7 @@ from functools import partial
 from .collapse import CollapseRules
 from .core import MachineConfig, config_letters, paper_config, \
     simulate_many, simulate_trace
+from .core.config import LOAD_SPEC_NONE
 from .errors import ConfigError
 from .metrics import render_table
 from .trace import TraceStats, load_trace, save_trace, signature_mix
@@ -140,6 +141,12 @@ def cmd_disasm(args):
 
 def _build_config(args):
     if args.config:
+        if args.collapse or args.load_spec is not None:
+            flag = "--collapse" if args.collapse else "--load-spec"
+            raise ConfigError(
+                "%s: configuration %s fixes its own collapsing and load "
+                "speculation; drop %s or --config"
+                % (flag, args.config, flag))
         config = paper_config(args.config, args.width)
         if args.vspec and config.value_spec:
             raise ConfigError(
@@ -156,7 +163,7 @@ def _build_config(args):
         return config
     rules = CollapseRules.paper() if args.collapse or args.elim else None
     return MachineConfig(args.width, collapse_rules=rules,
-                         load_spec=args.load_spec,
+                         load_spec=args.load_spec or LOAD_SPEC_NONE,
                          node_elimination=args.elim,
                          value_spec=args.vspec)
 
@@ -207,8 +214,17 @@ def cmd_simulate(args):
     return 0
 
 
+def _widths(text):
+    """The ``--widths`` list: comma-separated issue widths."""
+    try:
+        return [int(w) for w in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % (text,)) from None
+
+
 def cmd_sweep(args):
-    widths = [int(w) for w in args.widths.split(",")]
+    widths = args.widths
     letters = config_letters()
     headers = ["width"] + list(letters)
     rows = []
@@ -359,9 +375,11 @@ def build_parser():
     p_sim.add_argument("--config", choices=list(config_letters()),
                        help="registered configuration letter")
     p_sim.add_argument("--collapse", action="store_true",
-                       help="enable paper collapsing rules")
+                       help="enable paper collapsing rules (not with "
+                            "--config)")
     p_sim.add_argument("--load-spec", choices=["none", "real", "ideal"],
-                       default="none")
+                       help="load address speculation (default none; "
+                            "not with --config)")
     p_sim.add_argument("--elim", action="store_true",
                        help="node-elimination extension (Figure 1.f)")
     p_sim.add_argument("--vspec", action="store_true",
@@ -374,7 +392,7 @@ def build_parser():
                              help="config x width IPC table")
     p_sweep.add_argument("workload")
     p_sweep.add_argument("--scale", type=float, default=0.2)
-    p_sweep.add_argument("--widths", default="4,8,16,32")
+    p_sweep.add_argument("--widths", type=_widths, default="4,8,16,32")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes for the config x width "
                               "grid")

@@ -13,6 +13,8 @@ Python simulator; see DESIGN.md's substitution table).  Tests use tiny
 scales.
 """
 
+import math
+
 from ..asm import assemble
 from ..emu import trace_program
 from ..errors import ReproError
@@ -45,7 +47,12 @@ class Workload:
     # ------------------------------------------------------------------
 
     def build(self, scale=1.0):
-        """Assemble the kernel at the given scale."""
+        """Assemble the kernel at the given scale, a finite positive
+        number (anything else raises :class:`WorkloadError`)."""
+        if not (scale > 0 and math.isfinite(scale)):
+            raise WorkloadError(
+                "workload %s: scale must be a finite positive number, "
+                "got %r" % (self.name, scale))
         return assemble(self.source(scale))
 
     def trace(self, scale=1.0, max_instructions=80_000_000):

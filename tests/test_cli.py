@@ -187,12 +187,19 @@ def test_unknown_workload_raises(capsys):
     ["simulate", "nosuch"],
     ["simulate", "eqntott", "--scale", "0.03", "--config", "F", "--vspec"],
     ["simulate", "eqntott", "--scale", "0.03", "--config", "I", "--vspec"],
+    ["simulate", "eqntott", "--scale", "0.03", "--config", "A",
+     "--collapse"],
+    ["simulate", "eqntott", "--scale", "0.03", "--config", "B",
+     "--load-spec", "none"],
+    ["simulate", "eqntott", "--scale", "0"],
+    ["simulate", "eqntott", "--scale", "nan"],
 ])
 def test_module_entry_prints_library_error_as_one_line(argv):
     """``python -m repro`` turns a ReproError into one stderr line and
     exit status 2: an unknown workload, value speculation on an MDPT
-    machine (F), and --vspec on a letter that already speculates
-    values (I)."""
+    machine (F), --vspec on a letter that already speculates values
+    (I), --collapse or --load-spec next to a letter, which fixes both,
+    and a scale that is not a finite positive number."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "repro"] + argv,
                           capture_output=True, text=True, env=env)
@@ -200,6 +207,18 @@ def test_module_entry_prints_library_error_as_one_line(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("repro: error: ")
     assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_sweep_rejects_a_width_that_is_not_a_number():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "repro", "sweep",
+                           "eqntott", "--widths", "8,x"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "argument --widths: expected comma-separated integers" \
+        in proc.stderr
     assert proc.stdout == ""
 
 
