@@ -1,28 +1,19 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared helpers for the benches in this directory.
 
-The harness regenerates every table and figure of the paper.  Benchmarks
-share one memoised :class:`ExperimentRunner` so the full harness costs
-each (workload, config, width) simulation once; the throughput benches
-construct fresh schedulers to measure raw simulation speed.
+The benches here measure: raw component throughput, the trace-core
+kernels against their scalar references, the DESIGN.md §6 ablations and
+the trace-length sensitivity of the headline rates.  The paper's
+exhibits and their shape claims live in the tier-1 suite
+(``tests/test_experiments*.py``) and in the report's "Shape checks";
+``python -m repro report`` regenerates EXPERIMENTS.md.
 
-Scale defaults to 0.08 (seconds per exhibit); set ``REPRO_BENCH_SCALE``
-to run the harness at reproduction scale.  The EXPERIMENTS.md numbers are
-produced separately by ``python -m repro.experiments.report 1.0``.
+``BENCH_SCALE`` (default 0.08, override with ``REPRO_BENCH_SCALE``) is
+the base workload scale of the sensitivity bench.
 """
 
 import os
 
-import pytest
-
-from repro.core.config import PAPER_ISSUE_WIDTHS
-from repro.experiments import ExperimentRunner
-
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.08"))
-
-
-@pytest.fixture(scope="session")
-def runner():
-    return ExperimentRunner(scale=BENCH_SCALE, widths=PAPER_ISSUE_WIDTHS)
 
 
 def once(benchmark, fn):

@@ -17,7 +17,7 @@ def test_scale_sensitivity(benchmark):
         return {name: scale_sensitivity(name, scales=scales, width=16)
                 for name in ("eqntott", "ijpeg", "li")}
 
-    exhibits = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    exhibits = once(benchmark, sweep)
     for name, exhibit in exhibits.items():
         print("\n" + exhibit.render())
         # Collapsed fraction and branch accuracy are rates: drift across

@@ -1,8 +1,7 @@
 """Raw component throughput benches (real multi-round timings).
 
-Unlike the exhibit benches these measure hot paths with fresh state per
-round: the functional emulator, the predictors, and the windowed
-scheduler per configuration.
+These measure hot paths with fresh state per round: the functional
+emulator, the predictors, and the windowed scheduler per configuration.
 """
 
 import pytest

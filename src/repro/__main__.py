@@ -1,5 +1,6 @@
-"""``python -m repro`` entry point: a library error prints as one
-``repro: error:`` line on stderr and exits 2, like a usage error."""
+"""``python -m repro`` entry point: a library error or a bad path
+prints as one ``repro: error:`` line on stderr and exits 2, like a usage
+error."""
 
 import sys
 
@@ -8,7 +9,7 @@ from .errors import ReproError
 
 try:
     code = main()
-except ReproError as exc:
+except (ReproError, OSError) as exc:
     print("repro: error: %s" % (exc,), file=sys.stderr)
     code = 2
 sys.exit(code)

@@ -66,13 +66,6 @@ class TwoDeltaTable:
         (word-aligned instructions: drop the two zero bits)."""
         return (pc >> 2) & self.index_mask
 
-    def peek(self, pc):
-        """Prediction for the next execution of the load at ``pc``."""
-        entry = self._table[self.index_of(pc)]
-        predicted = (entry.last + entry.stride) & _MASK32
-        would_use = entry.confidence >= self.confidence_threshold
-        return would_use, predicted
-
     def observe(self, pc, value):
         """One dynamic load in program order.
 

@@ -48,25 +48,31 @@ from .core import MachineConfig, config_letters, paper_config, \
     simulate_many, simulate_trace
 from .core.config import LOAD_SPEC_NONE
 from .errors import ConfigError
+from .fsutil import check_parent_dir
 from .metrics import render_table
 from .trace import TraceStats, load_trace, save_trace, signature_mix
 from .workloads import SUITE, WORKLOADS, get_workload
 
 
-def _load_target(target, scale):
-    """A workload name or a path to a saved trace.
+def _is_workload(target):
+    """True for a registered workload name, False for an existing path.
 
     Registered workload names always win: a stray file in the current
     directory named like a workload (e.g. ``compress``) must not shadow
-    the workload and be parsed as a trace file.  Anything that is not a
-    registered name is treated as a path; a target that is neither fails
-    with the workload lookup's actionable error.
+    the workload and be parsed as a file.  A target that is neither
+    fails with the workload lookup's actionable error.
     """
-    if target in WORKLOADS:
+    if target not in WORKLOADS and os.path.exists(target):
+        return False
+    get_workload(target)
+    return True
+
+
+def _load_target(target, scale):
+    """A workload name or a path to a saved trace."""
+    if _is_workload(target):
         return get_workload(target).trace(scale=scale)
-    if os.path.exists(target):
-        return load_trace(target)
-    return get_workload(target).trace(scale=scale)
+    return load_trace(target)
 
 
 def cmd_list(args):
@@ -88,6 +94,7 @@ def cmd_list(args):
 
 
 def cmd_trace(args):
+    check_parent_dir(args.output)
     workload = get_workload(args.workload)
     trace = workload.trace(scale=args.scale)
     save_trace(trace, args.output)
@@ -298,6 +305,8 @@ def cmd_lint(args):
         print("repro lint: no targets (give workload names, .s files, "
               "or --all)", file=sys.stderr)
         return 2
+    # Resolve every target first, so a bad one fails before any output.
+    workloads = {target for target in targets if _is_workload(target)}
     passes = lint_passes()
     tables = [p for p in passes
               if p.table is not None and getattr(args, p.table.dest)]
@@ -306,12 +315,12 @@ def cmd_lint(args):
     # One sanitized runner per invocation: checks sharing a cell (or a
     # workload's lint report) reuse it instead of re-simulating.
     runner = ExperimentRunner(
-        args.scale, names=[t for t in targets if t in WORKLOADS],
+        args.scale, names=[t for t in targets if t in workloads],
         sanitize=True)
     failed = False
     violated = False
     for target in targets:
-        workload = target in WORKLOADS
+        workload = target in workloads
         report = runner.lint(target) if workload else lint_path(target)
         print(report.render())
         if not report.ok:

@@ -20,6 +20,7 @@ import sys
 import time
 
 from ..core.config import PAPER_ISSUE_WIDTHS
+from ..fsutil import check_parent_dir
 # Importing the builder modules populates the exhibit registry; the
 # report itself never names individual exhibit functions.
 from . import extensions as _extensions  # noqa: F401
@@ -428,6 +429,7 @@ def main(argv=None):
                         help="re-check scheduler invariants on every "
                              "simulation (repro.lint.sanitize)")
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    check_parent_dir(args.output)
     text = generate(scale=args.scale, jobs=args.jobs,
                     cache_dir=args.cache_dir, profile=args.profile,
                     progress=True if args.jobs > 1 else None,

@@ -1,7 +1,18 @@
-"""Filesystem helpers shared by the trace format and the disk cache."""
+"""Filesystem helpers shared by the trace format, the disk cache and
+the commands that write files."""
 
+import errno
 import os
 import tempfile
+
+
+def check_parent_dir(path):
+    """Raise the error writing ``path`` would hit when its directory does
+    not exist, so a command fails before its work rather than after."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, "no such directory",
+                                directory)
 
 
 def atomic_write(path, writer):

@@ -62,8 +62,7 @@ class RecurrenceCheck(CheckResult):
     (program, trace) pair."""
 
     __slots__ = ("n", "cp", "ipc", "sim", "widest", "static_floor",
-                 "static_bound", "weighted", "loops_checked",
-                 "runs_checked")
+                 "static_bound", "loops_checked", "runs_checked")
 
     def __init__(self):
         CheckResult.__init__(self)
@@ -78,17 +77,8 @@ class RecurrenceCheck(CheckResult):
         self.static_floor = dict.fromkeys(VARIANTS, 0)
         #: variant -> n / floor, None when no run produced a floor
         self.static_bound = dict.fromkeys(VARIANTS, None)
-        #: variant -> [loop-instructions, floor-cycles] summed over
-        #: runs: the descriptive trip-count-weighted ceiling
-        self.weighted = {variant: [0, 0] for variant in VARIANTS}
         self.loops_checked = 0
         self.runs_checked = 0
-
-    def weighted_ceiling(self, variant):
-        instructions, cycles = self.weighted[variant]
-        if not cycles:
-            return None
-        return instructions / cycles
 
 
 def variant_depth_arrays(trace, classes, value_cut=None):
@@ -118,7 +108,7 @@ def variant_depth_arrays(trace, classes, value_cut=None):
 def _scan_runs(analysis, trace):
     """Per-loop runs of the trace: consecutive positions inside one
     analyzed loop's body, with the positions of every variant's anchor
-    instruction.  Yields ``(rec, anchors, instructions)``."""
+    instruction.  Yields ``(rec, anchors)``."""
     body_loop = {}
     anchor_sets = {}
     for rec in analysis.loops:
@@ -132,21 +122,17 @@ def _scan_runs(analysis, trace):
     runs = []
     current_rec = None
     current_anchors = None
-    count = 0
     for pos, s in enumerate(trace.sidx):
         rec = body_loop.get(s)
         if rec is not current_rec:
             if current_rec is not None:
-                runs.append((current_rec, current_anchors, count))
+                runs.append((current_rec, current_anchors))
             current_rec = rec
             current_anchors = {} if rec is not None else None
-            count = 0
-        if rec is not None:
-            count += 1
-            if s in anchor_sets[id(rec)]:
-                current_anchors.setdefault(s, []).append(pos)
+        if rec is not None and s in anchor_sets[id(rec)]:
+            current_anchors.setdefault(s, []).append(pos)
     if current_rec is not None:
-        runs.append((current_rec, current_anchors, count))
+        runs.append((current_rec, current_anchors))
     return runs
 
 
@@ -192,7 +178,7 @@ def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048):
 
     # ---- link 1: static per-lap latency <= dynamic depth growth
     checked_loops = set()
-    for rec, anchors, instructions in _scan_runs(analysis, trace):
+    for rec, anchors in _scan_runs(analysis, trace):
         check.runs_checked += 1
         checked_loops.add(id(rec))
         for variant in VARIANTS:
@@ -210,8 +196,6 @@ def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048):
                        growth, best.anchor))
             if need > check.static_floor[variant]:
                 check.static_floor[variant] = need
-            check.weighted[variant][0] += instructions
-            check.weighted[variant][1] += need
     check.loops_checked = len(checked_loops)
 
     # ---- link 2: static IPC bound >= dataflow IPC (matching graph)

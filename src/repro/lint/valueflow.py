@@ -429,7 +429,7 @@ def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
     check.graph_cp = issue_cycles(trace, depths)
     check.graph_ipc = n / check.graph_cp if check.graph_cp else 0.0
 
-    for rec, anchors, _ in _scan_runs(recurrence, trace):
+    for rec, anchors in _scan_runs(recurrence, trace):
         lap = _lap(rec, anchors, "V", depths)
         if lap is None:
             continue

@@ -12,6 +12,9 @@ from repro.errors import ReproError
 
 #: the directory holding the ``repro`` package, for child interpreters
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+#: a directory that does not exist
+NO_SUCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "no_such_dir")
 
 
 def run_cli(capsys, *argv):
@@ -193,13 +196,23 @@ def test_unknown_workload_raises(capsys):
      "--load-spec", "none"],
     ["simulate", "eqntott", "--scale", "0"],
     ["simulate", "eqntott", "--scale", "nan"],
+    ["lint", "nosuchworkload"],
+    ["lint", "eqntott", os.path.join(NO_SUCH_DIR, "missing.s")],
+    ["report", "--scale", "0.01", "-o", os.path.join(NO_SUCH_DIR, "x.md")],
+    ["trace", "li", "--scale", "0.01",
+     "-o", os.path.join(NO_SUCH_DIR, "x.trace")],
+    ["sweep", "li", "--scale", "0.01", "--widths", "8",
+     "--cache-dir", os.path.abspath(__file__)],
 ])
 def test_module_entry_prints_library_error_as_one_line(argv):
-    """``python -m repro`` turns a ReproError into one stderr line and
-    exit status 2: an unknown workload, value speculation on an MDPT
-    machine (F), --vspec on a letter that already speculates values
-    (I), --collapse or --load-spec next to a letter, which fixes both,
-    and a scale that is not a finite positive number."""
+    """``python -m repro`` turns a ReproError or an OSError into one
+    stderr line and exit status 2: an unknown workload, value
+    speculation on an MDPT machine (F), --vspec on a letter that already
+    speculates values (I), --collapse or --load-spec next to a letter,
+    which fixes both, a scale that is not a finite positive number, a
+    lint target that is neither a workload nor a file (before any target
+    is linted), an output file in a missing directory, and a cache
+    directory that is a file."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "repro"] + argv,
                           capture_output=True, text=True, env=env)
@@ -208,6 +221,18 @@ def test_module_entry_prints_library_error_as_one_line(argv):
     assert proc.stderr.startswith("repro: error: ")
     assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def test_report_checks_its_output_path_before_simulating(monkeypatch):
+    from repro.experiments import report
+
+    def generate(**kwargs):
+        raise AssertionError("simulated before checking the output path")
+
+    monkeypatch.setattr(report, "generate", generate)
+    with pytest.raises(FileNotFoundError, match="no_such_dir"):
+        main(["report", "--scale", "0.01",
+              "-o", os.path.join(NO_SUCH_DIR, "x.md")])
 
 
 def test_sweep_rejects_a_width_that_is_not_a_number():

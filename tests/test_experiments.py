@@ -18,7 +18,9 @@ from repro.experiments import (
     ExperimentRunner,
     figure2,
     figure3,
+    figure4,
     figure5,
+    figure6,
     figure7,
     figure8,
     figure9,
@@ -87,12 +89,17 @@ def test_figure3_speedups(runner):
         assert 0.99 <= b < e
         assert c > 1.05          # collapsing clearly helps
         assert d >= c * 0.999    # adding speculation never hurts means
+        assert d > 1.1           # paper: D 1.20-1.66 at widths 4-32
         assert e == max(b, c, d, e, f, g, h, i, j)
         assert f <= 1.02        # realistic memory can't beat perfect
         assert 1.0 < g <= c * 1.02
         assert h >= 0.999       # decoupling never slows the machine
         assert 0 < i <= e       # replay penalties keep I under ideal E
         assert i * 0.999 <= j <= e  # load-driven fences only help
+    # D grows with width: it never drops by 0.05 or more.
+    d_column = [row[3] for row in exhibit.rows]
+    assert all(narrow - wide < 0.05
+               for narrow, wide in zip(d_column, d_column[1:]))
 
 
 def test_figure3_collapsing_dominates(runner):
@@ -105,17 +112,38 @@ def test_figure3_collapsing_dominates(runner):
         assert (c - 1) > 0.5 * (d - 1)
 
 
+def test_figure4_pointer_chasers_keep_the_ordering(runner):
+    exhibit = figure4(runner)
+    for row in exhibit.rows:
+        _, a, b, c, d, e = row[:6]
+        assert e >= d >= a * 0.999
+
+
 def test_figure5_pointer_chasers_gain_little_from_b(runner):
     exhibit = figure5(runner)
     for row in exhibit.rows:
-        assert row[1] < 1.12     # paper: 5-9%
+        _, b, c, d, e = row[:5]
+        assert b < 1.12          # paper: 5-9%
+        assert e > d             # ideal speculation still gains a lot
+
+
+def test_figure6_nonpointer_keep_the_ordering(runner):
+    exhibit = figure6(runner)
+    for row in exhibit.rows:
+        _, a, b, c, d, e = row[:6]
+        assert e >= d >= c * 0.999 >= a * 0.98
 
 
 def test_figure7_nonpointer_gain_more_from_b(runner):
+    """B helps the non-pointer set more than the pointer set, and
+    the ideal/realistic (E - D) gap is smaller there."""
     chasing = figure5(runner)
     regular = figure7(runner)
     for chase_row, regular_row in zip(chasing.rows, regular.rows):
         assert regular_row[1] >= chase_row[1] - 0.02
+        regular_gap = regular_row[4] - regular_row[3]
+        chase_gap = chase_row[4] - chase_row[3]
+        assert regular_gap <= chase_gap + 0.35
 
 
 def test_figure8_collapse_fraction(runner):
@@ -124,7 +152,7 @@ def test_figure8_collapse_fraction(runner):
     li_index = exhibit.headers.index("li")
     for row in exhibit.rows:
         values = row[1:]
-        assert all(0.0 <= v <= 100.0 for v in values)
+        assert all(0.0 < v <= 100.0 for v in values)
         assert row[li_index] == min(row[1:len(names) + 1])
 
 
@@ -134,6 +162,7 @@ def test_figure9_categories(runner):
         _, cat31, cat41, cat0 = row
         assert cat31 > cat41 > 0.0
         assert cat31 > cat0
+        assert cat31 > 50.0      # paper: 65-82% at widths <= 32
         assert abs(cat31 + cat41 + cat0 - 100.0) < 0.1
 
 
@@ -143,11 +172,22 @@ def test_figure10_distances_short(runner):
         assert row[-1] > 80.0    # <= 8 share (paper: "nearly always")
 
 
+def test_figure10_wide_machine_collapses_non_consecutive():
+    """At width 2k some collapses join instructions that are not
+    adjacent in the trace."""
+    exhibit = figure10(ExperimentRunner(scale=SCALE, widths=(2048,)))
+    [row] = exhibit.rows
+    assert exhibit.headers[1] == "1"
+    assert row[0] == "2k"
+    assert row[1] < 100.0    # distance 1: consecutive
+
+
 def test_table1_structure(runner):
     exhibit = table1(runner)
     rows = exhibit.row_map()
-    assert set(rows) == {"compress", "espresso", "eqntott", "li", "go",
-                         "ijpeg"}
+    assert [row[0] for row in exhibit.rows] == [
+        "compress", "espresso", "eqntott", "li", "go", "ijpeg"]
+    assert all(row[1] > 1000 for row in exhibit.rows)
     assert rows["li"][-1] == "yes"
     assert rows["ijpeg"][-1] == "no"
 
@@ -161,6 +201,12 @@ def test_table2_accuracy_ranges(runner):
     rows = exhibit.row_map()
     # go is the worst-predicted benchmark, as in the paper's Table 2.
     assert rows["go"][2] <= min(rows["li"][2], rows["ijpeg"][2])
+    # Our eqntott sorts random data, so unlike the paper's structured
+    # input its partition branches predict poorly too: go need only be
+    # among the two worst.
+    accuracies = sorted(row[2] for row in rows.values())
+    assert rows["go"][2] <= accuracies[1]
+    assert rows["li"][2] >= 95.0
 
 
 def test_table3_vs_table4_contrast(runner):
@@ -171,6 +217,10 @@ def test_table3_vs_table4_contrast(runner):
     for chase_row, regular_row in zip(chasing.rows, regular.rows):
         assert regular_row[2] > chase_row[2] + 10.0   # predicted correctly
         assert chase_row[4] > regular_row[4]          # not predicted
+        # Pointer chasers mostly go unpredicted, and the confidence
+        # counter keeps wrong predictions rare.
+        assert chase_row[4] > chase_row[2]
+        assert chase_row[3] < 12.0
         # Rows are percentages over the four categories.
         assert abs(sum(chase_row[1:]) - 100.0) < 0.2
         assert abs(sum(regular_row[1:]) - 100.0) < 0.2
@@ -178,11 +228,13 @@ def test_table3_vs_table4_contrast(runner):
 
 def test_table5_pairs(runner):
     exhibit = table5(runner)
-    assert exhibit.rows, "no pair collapses recorded"
+    assert len(exhibit.rows) >= 5
     assert exhibit.headers[:2] == ["op1", "op2"]
     # Compare/branch collapsing must show up, as in the paper's Table 5.
     pairs = {tuple(row[:2]) for row in exhibit.rows}
     assert any(op2 == "brc" for _, op2 in pairs)
+    # Address generation collapses into loads as well.
+    assert any(op2.startswith("ld") for _, op2 in pairs)
     for row in exhibit.rows:
         for value in row[2:]:
             assert 0.0 <= value <= 100.0
@@ -190,8 +242,11 @@ def test_table5_pairs(runner):
 
 def test_table6_triples(runner):
     exhibit = table6(runner)
-    assert exhibit.rows, "no triple collapses recorded"
+    assert len(exhibit.rows) >= 5
     assert exhibit.headers[:3] == ["op1", "op2", "op3"]
+    for row in exhibit.rows:
+        shares = [v for v in row[3:] if isinstance(v, float)]
+        assert all(0.0 <= v <= 100.0 for v in shares)
 
 
 def test_report_generation(tmp_path, runner, regen_golden):

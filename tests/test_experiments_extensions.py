@@ -8,6 +8,7 @@ from repro.experiments import (
     extension_figure,
     predictor_comparison,
 )
+from repro.workloads import POINTER_CHASING
 
 SCALE = 0.04
 WIDTHS = (8,)
@@ -29,6 +30,8 @@ def test_extension_figure_structure(runner):
     assert row[2] >= d * 0.999       # +elim
     assert row[3] >= d * 0.999       # +vspec
     assert row[4] >= max(row[2], row[3]) * 0.99
+    assert row[4] >= d * 0.999       # +both
+    assert row[5] > 1.0              # E
 
 
 def test_elimination_counts_structure(runner):
@@ -38,6 +41,9 @@ def test_elimination_counts_structure(runner):
     for row in exhibit.rows:
         assert row[1] >= 0
         assert 0.0 <= row[2] <= 100.0
+    # Collapsing-heavy kernels expose eliminable producers nearly
+    # everywhere.
+    assert sum(1 for row in exhibit.rows if row[2] > 0.0) >= 4
 
 
 def test_predictor_comparison_structure(runner):
@@ -48,9 +54,15 @@ def test_predictor_comparison_structure(runner):
     # li: correlation must beat stride substantially even at tiny scale
     # (the queries walk the same list over and over).
     assert rows["li"][2] > rows["li"][1]
-    # ideal bounds everything.
     for row in exhibit.rows:
+        # ideal bounds everything.
         assert row[4] >= max(row[1], row[2], row[3]) - 0.05
+        # The hybrid never loses much to the paper's two-delta.
+        assert row[3] >= row[1] - 0.08
+    # On some pointer chaser the hybrid closes part of the two-delta ->
+    # ideal gap (the paper's closing hypothesis).
+    assert max(rows[name][3] - rows[name][1]
+               for name in POINTER_CHASING) > 0.02
 
 
 def test_dataflow_limits_has_all_widest_columns(runner):
