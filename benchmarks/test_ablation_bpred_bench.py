@@ -19,8 +19,7 @@ from repro.bpred import (
 )
 from repro.collapse import CollapseRules
 from repro.core import MachineConfig
-from repro.core.scheduler import WindowScheduler
-from repro.core.simulator import load_outcomes
+from repro.core.simulator import load_outcomes, simulate_trace
 from repro.metrics import arithmetic_mean, harmonic_mean, render_table
 from repro.workloads import suite_traces
 
@@ -56,9 +55,8 @@ def test_branch_predictor_quality_ablation(benchmark, prepared):
             for trace, loads in prepared:
                 branch = run_branch_predictor(trace, factory())
                 accuracies.append(branch.accuracy)
-                base = WindowScheduler(trace, config_a, branch).run()
-                result = WindowScheduler(trace, config_d, branch,
-                                         loads).run()
+                base = simulate_trace(trace, config_a, branch)
+                result = simulate_trace(trace, config_d, branch, loads)
                 d_ipcs.append(result.ipc)
                 speedups.append(result.speedup_over(base))
             rows.append([label,

@@ -9,8 +9,7 @@ differentiate from previous studies"); this bench quantifies them.
 import pytest
 
 from repro.collapse import CollapseRules
-from repro.core import MachineConfig, branch_outcomes
-from repro.core.scheduler import WindowScheduler
+from repro.core import MachineConfig, branch_outcomes, simulate_trace
 from repro.metrics import harmonic_mean, render_table
 from repro.workloads import suite_traces
 
@@ -37,7 +36,7 @@ def _mean_ipc(prepared, rules):
     config = MachineConfig(WIDTH, collapse_rules=rules)
     ipcs = []
     for trace, branch in prepared:
-        ipcs.append(WindowScheduler(trace, config, branch).run().ipc)
+        ipcs.append(simulate_trace(trace, config, branch).ipc)
     return harmonic_mean(ipcs)
 
 

@@ -9,8 +9,7 @@ limit studies often vary (cf. Wall).
 import pytest
 
 from repro.collapse import CollapseRules
-from repro.core import MachineConfig, branch_outcomes
-from repro.core.scheduler import WindowScheduler
+from repro.core import MachineConfig, branch_outcomes, simulate_trace
 from repro.core.simulator import load_outcomes
 from repro.metrics import harmonic_mean, render_table
 from repro.workloads import suite_traces
@@ -33,9 +32,7 @@ def _mean_ipc(prepared, collapse, fetch_break):
                            fetch_taken_break=fetch_break)
     ipcs = []
     for trace, branch, loads in prepared:
-        prediction = loads if collapse else None
-        ipcs.append(WindowScheduler(trace, config, branch,
-                                    prediction).run().ipc)
+        ipcs.append(simulate_trace(trace, config, branch, loads).ipc)
     return harmonic_mean(ipcs)
 
 

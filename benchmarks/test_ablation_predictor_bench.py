@@ -12,8 +12,7 @@ import pytest
 
 from repro.addrpred import LastStrideTable, TwoDeltaTable, \
     run_address_predictor
-from repro.core import MachineConfig, branch_outcomes
-from repro.core.scheduler import WindowScheduler
+from repro.core import MachineConfig, branch_outcomes, simulate_trace
 from repro.metrics import harmonic_mean, render_table
 from repro.workloads import suite_traces
 
@@ -34,7 +33,7 @@ def _mean_ipc_with_table(prepared, table_factory):
     used = 0
     for trace, branch in prepared:
         prediction = run_address_predictor(trace, table_factory())
-        result = WindowScheduler(trace, config, branch, prediction).run()
+        result = simulate_trace(trace, config, branch, prediction)
         ipcs.append(result.ipc)
         counts = result.loads.counts
         used += counts["predicted_correctly"] + \

@@ -9,8 +9,7 @@ consumer co-resident in the window).
 import pytest
 
 from repro.collapse import CollapseRules
-from repro.core import MachineConfig, branch_outcomes
-from repro.core.scheduler import WindowScheduler
+from repro.core import MachineConfig, branch_outcomes, simulate_trace
 from repro.core.simulator import load_outcomes
 from repro.metrics import harmonic_mean, render_table
 from repro.workloads import suite_traces
@@ -34,8 +33,7 @@ def _mean(prepared, factor, collapse):
     ipcs = []
     collapsed = []
     for trace, branch, loads in prepared:
-        prediction = loads if collapse else None
-        result = WindowScheduler(trace, config, branch, prediction).run()
+        result = simulate_trace(trace, config, branch, loads)
         ipcs.append(result.ipc)
         collapsed.append(result.collapse.collapsed_fraction)
     return harmonic_mean(ipcs), sum(collapsed) / len(collapsed)

@@ -8,8 +8,7 @@ import pytest
 
 from repro.addrpred import run_address_predictor
 from repro.bpred import run_branch_predictor
-from repro.core import branch_outcomes, paper_config
-from repro.core.scheduler import WindowScheduler
+from repro.core import branch_outcomes, paper_config, simulate_trace
 from repro.core.simulator import load_outcomes
 from repro.emu import trace_program
 from repro.workloads import cached_trace, get_workload
@@ -56,10 +55,9 @@ def test_address_predictor_throughput(benchmark, trace):
 def test_scheduler_throughput_by_config(benchmark, trace, branch, loads,
                                         letter):
     config = paper_config(letter, 16)
-    prediction = loads if config.load_spec == "real" else None
 
     def run():
-        return WindowScheduler(trace, config, branch, prediction).run()
+        return simulate_trace(trace, config, branch, loads)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)
     assert result.instructions == len(trace)
@@ -71,7 +69,7 @@ def test_scheduler_throughput_wide_window(benchmark, trace, branch, loads):
     config = paper_config("D", 2048)
 
     def run():
-        return WindowScheduler(trace, config, branch, loads).run()
+        return simulate_trace(trace, config, branch, loads)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)
     assert result.ipc > 1.0

@@ -15,9 +15,13 @@ Run:  python examples/extensions_study.py [scale]
 
 import sys
 
-from repro.core import branch_outcomes, load_outcomes, value_outcomes
+from repro.core import (
+    branch_outcomes,
+    load_outcomes,
+    simulate_trace,
+    value_outcomes,
+)
 from repro.core.config import MachineConfig
-from repro.core.scheduler import WindowScheduler
 from repro.collapse import CollapseRules
 from repro.metrics import render_table
 from repro.workloads import cached_trace, SUITE
@@ -39,8 +43,7 @@ def main():
                 WIDTH, collapse_rules=CollapseRules.paper(),
                 load_spec="real", node_elimination=elim,
                 value_spec=vspec)
-            return WindowScheduler(trace, config, branch, loads,
-                                   values if vspec else None).run()
+            return simulate_trace(trace, config, branch, loads, values)
 
         d = run()
         elim = run(elim=True)

@@ -34,22 +34,15 @@ class DependenceGraph:
     ``"data"`` for store data).
 
     The adjacency lists (``preds``) are built lazily: :meth:`depths`
-    of an uncut graph comes straight from the SoA dependence columns
+    comes straight from the SoA dependence columns
     (``repro.analysis.nkernel``) without materialising per-position
     edge lists, so a graph used only for depth/critical-path queries
-    never pays for them.
+    never pays for them.  Depths with address or value arcs cut come
+    from :func:`restructured_depths`.
     """
 
-    def __init__(self, trace, cut_addr_loads=None):
-        """``cut_addr_loads`` is an optional set of *static* indices of
-        loads whose address-input register edges are removed — the graph
-        ideal address speculation executes (the load's start no longer
-        waits for address generation).  Memory and store-data edges are
-        kept: speculation breaks address *generation* dependences only.
-        """
+    def __init__(self, trace):
         self.trace = trace
-        self.cut_addr_loads = frozenset(cut_addr_loads) \
-            if cut_addr_loads else frozenset()
         self._preds = None       # per position: list of (producer, kind)
         self._depths = None
 
@@ -71,7 +64,6 @@ class DependenceGraph:
         dest_col = static.dest
         cls_col = static.cls
         eff_addr = trace.eff_addr
-        cut = self.cut_addr_loads
 
         reg_writer = [-1] * 33
         mem_writer = {}
@@ -79,10 +71,9 @@ class DependenceGraph:
         for i, s in enumerate(sidx):
             cls = cls_col[s]
             plist = []
-            if not (cls == LD and s in cut):
-                for src in (src1_col[s], src2_col[s]):
-                    if src >= 0 and reg_writer[src] >= 0:
-                        plist.append((reg_writer[src], "reg"))
+            for src in (src1_col[s], src2_col[s]):
+                if src >= 0 and reg_writer[src] >= 0:
+                    plist.append((reg_writer[src], "reg"))
             if cls == ST:
                 data = datasrc_col[s]
                 if data >= 0 and reg_writer[data] >= 0:
@@ -123,18 +114,13 @@ class DependenceGraph:
         dataflow exhibits share this object).
         """
         if self._depths is None:
-            if self.cut_addr_loads:
-                depths = self._walk_depths()
-            else:
-                from .nkernel import variant_depths
-                depths = variant_depths(self.trace).tolist()
-            self._depths = tuple(depths)
+            from .nkernel import variant_depths
+            self._depths = tuple(variant_depths(self.trace).tolist())
         return self._depths
 
     def _walk_depths(self):
         """:meth:`depths` as one walk over the adjacency lists: the
-        pass a cut graph needs, and the scalar reference of the uncut
-        graph's vectorized kernel."""
+        scalar reference of the vectorized kernel."""
         lat = self.trace.static.lat
         sidx = self.trace.sidx
         depths = [0] * len(self.preds)

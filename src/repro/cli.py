@@ -242,8 +242,7 @@ def cmd_sweep(args):
         from .experiments.runner import ExperimentRunner
         runner = ExperimentRunner(
             scale=args.scale, widths=widths, names=[args.workload],
-            jobs=args.jobs, cache_dir=args.cache_dir,
-            progress=True if args.jobs > 1 else None)
+            jobs=args.jobs, cache_dir=args.cache_dir)
         sweep = runner.sweep(letters)
         name = args.workload
         profile = runner.profile

@@ -14,7 +14,8 @@ group; triple signatures (Table 6) when it produces a 3-wide group.
 Distances (Figure 10) are dynamic-instruction distances between the
 producer and the consumer of each event.  The "instructions collapsed"
 measure (Figure 8) counts distinct dynamic instructions participating in
-at least one event.
+at least one event: the scheduler tracks which positions took part and
+stores only their count, :attr:`CollapseStats.collapsed`.
 """
 
 from collections import Counter
@@ -56,24 +57,23 @@ class CollapseStats:
     """Mutable collector; the scheduler calls :meth:`record_event`."""
 
     __slots__ = ("events", "category_counts", "pair_signatures",
-                 "triple_signatures", "collapsed_positions",
-                 "distance_counts", "trace_length", "_merged_collapsed",
-                 "eliminated")
+                 "triple_signatures", "collapsed", "distance_counts",
+                 "trace_length", "eliminated")
 
     def __init__(self):
         self.events = 0
         self.category_counts = Counter()
         self.pair_signatures = Counter()
         self.triple_signatures = Counter()
-        self.collapsed_positions = set()
+        #: distinct dynamic instructions that took part in an event
+        self.collapsed = 0
         self.distance_counts = Counter()
         self.trace_length = 0
-        self._merged_collapsed = 0
         #: producers removed entirely by node elimination (Figure 1.f
         #: extension; zero under the paper's own model)
         self.eliminated = 0
 
-    def record_event(self, category, distance, chain_sigs, positions):
+    def record_event(self, category, distance, chain_sigs):
         """Record one collapse event.
 
         Parameters
@@ -82,13 +82,10 @@ class CollapseStats:
         distance: dynamic distance between the merged producer and consumer
         chain_sigs: signature strings for the *resulting* group, in
             program order (any sequence; copied into a tuple when counted)
-        positions: trace positions of all group members (any iterable;
-            not retained)
         """
         self.events += 1
         self.category_counts[category] += 1
         self.distance_counts[distance] += 1
-        self.collapsed_positions.update(positions)
         size = len(chain_sigs)
         if size == 2:
             self.pair_signatures[tuple(chain_sigs)] += 1
@@ -100,15 +97,11 @@ class CollapseStats:
     # ------------------------------------------------------------------
 
     @property
-    def instructions_collapsed(self):
-        return len(self.collapsed_positions) + self._merged_collapsed
-
-    @property
     def collapsed_fraction(self):
         """Figure 8: fraction of dynamic instructions collapsed."""
         if not self.trace_length:
             return 0.0
-        return self.instructions_collapsed / self.trace_length
+        return self.collapsed / self.trace_length
 
     def category_fractions(self):
         """Figure 9: contribution of each category among all events."""
@@ -146,12 +139,8 @@ class CollapseStats:
         return _ranked(self.triple_signatures, count)
 
     def to_payload(self):
-        """JSON-safe dict for the disk-cache codec.
-
-        ``collapsed_positions`` membership is folded into a count (the
-        same representation :meth:`merge` uses), so every derived measure
-        — fractions, histograms, top pairs/triples — round-trips exactly.
-        """
+        """JSON-safe dict for the disk-cache codec; :meth:`from_payload`
+        restores every field exactly."""
         return {
             "events": self.events,
             "category_counts": dict(self.category_counts),
@@ -161,7 +150,7 @@ class CollapseStats:
                                   in sorted(self.triple_signatures.items())],
             "distance_counts": sorted(self.distance_counts.items()),
             "trace_length": self.trace_length,
-            "collapsed": self.instructions_collapsed,
+            "collapsed": self.collapsed,
             "eliminated": self.eliminated,
         }
 
@@ -177,7 +166,7 @@ class CollapseStats:
         for distance, count in payload["distance_counts"]:
             stats.distance_counts[int(distance)] = int(count)
         stats.trace_length = int(payload["trace_length"])
-        stats._merged_collapsed = int(payload["collapsed"])
+        stats.collapsed = int(payload["collapsed"])
         stats.eliminated = int(payload["eliminated"])
         return stats
 
@@ -188,8 +177,7 @@ class CollapseStats:
         self.pair_signatures.update(other.pair_signatures)
         self.triple_signatures.update(other.triple_signatures)
         self.distance_counts.update(other.distance_counts)
-        # Positions are per-trace, so a merged object keeps only counts.
         self.trace_length += other.trace_length
-        self._merged_collapsed += other.instructions_collapsed
+        self.collapsed += other.collapsed
         self.eliminated += other.eliminated
         return self

@@ -117,13 +117,8 @@ class SimResult:
         return baseline.cycles / self.cycles
 
     def to_payload(self):
-        """JSON-safe dict capturing everything exhibits consume.
-
-        The codec is lossless for every derived measure (IPC, speedups,
-        load/branch fractions, collapse histograms); the one identity it
-        drops is ``collapse.collapsed_positions`` membership, which is
-        folded into a count exactly like :meth:`CollapseStats.merge`.
-        """
+        """JSON-safe dict capturing everything exhibits consume;
+        :meth:`from_payload` restores it exactly."""
         payload = {
             "config_name": self.config_name,
             "issue_width": self.issue_width,

@@ -169,6 +169,7 @@ class WindowScheduler:
         consumers = {}          # producer pos -> consumer positions
         # pos -> collapse Group (while in window), collapsing only
         groups = {} if collapsing else None
+        collapsed = set()       # positions that took part in a collapse
         # pos -> dynamic basic-block id, within-block collapsing only
         block_of = {} if track_blocks else None
         eliminated = set()
@@ -294,8 +295,8 @@ class WindowScheduler:
                             if san is not None:
                                 san.on_collapse(i, p, kind, group)
                             collapse_stats.record_event(
-                                category, distance, group.sigs,
-                                group.positions)
+                                category, distance, group.sigs)
+                            collapsed.update(group.positions)
                             # Inherit the producer's unresolved state.
                             pb = bound[p]
                             if kind == _KIND_ADDR:
@@ -520,6 +521,7 @@ class WindowScheduler:
                         else cycle + 1
 
         collapse_stats.trace_length = n
+        collapse_stats.collapsed = len(collapsed)
         if san is not None:
             san.finish()
         return SimResult(

@@ -33,13 +33,12 @@ from .extensions import (
     predictor_comparison,
     recurrence_bounds,
 )
-from .parallel import SweepProfile, run_cells
+from .parallel import SweepProfile
 from .runner import ExperimentRunner
 from .tables import table1, table2, table3, table4, table5, table6
 
 __all__ = [
     "Exhibit", "ExhibitSpec", "ExperimentRunner", "SweepProfile",
-    "run_cells",
     "all_exhibits", "exhibit_requirements", "register_exhibit",
     "figure2", "figure3", "figure4", "figure5", "figure6", "figure7",
     "figure8", "figure9", "figure10",

@@ -1,12 +1,14 @@
-"""Parallel experiment engine: fan (workload, letter, width) cells out
-over a process pool, with an optional persistent disk cache.
+"""Worker side of the parallel experiment engine, and sweep profiles.
 
 Each *cell* is one simulation of one workload on one paper configuration
-at one issue width — the unit every exhibit is assembled from.  Workers
-return compact :class:`SimResult` payloads (see ``core.results``), so
-nothing crosses the process boundary but plain dicts; the parent decodes
-them and reassembles results **in input order**, making a parallel sweep
-byte-identical to a serial one.
+at one issue width — the unit every exhibit is assembled from.
+:meth:`ExperimentRunner.prefetch
+<repro.experiments.runner.ExperimentRunner.prefetch>` maps
+:func:`_run_cell` over a process pool.  Workers return compact
+:class:`SimResult` payloads (see ``core.results``), so nothing crosses
+the process boundary but plain dicts; the parent decodes each into its
+memo under the cell's own key, making a parallel sweep byte-identical
+to a serial one.
 
 Each worker process resolves its cells through one
 :class:`ExperimentRunner` per (scale, cache directory, keep_schedules,
@@ -18,12 +20,8 @@ invocations (see ``repro.cache``).
 """
 
 import functools
-import multiprocessing
-import sys
-import time
 
 from ..core.config import config_specs, paper_config
-from ..core.results import SimResult
 from ..metrics.tables import render_table
 
 
@@ -94,11 +92,6 @@ class SweepProfile:
         name, label, width = cell
         self.cells.append((name, label, width, seconds, source))
 
-    def merge_cache_counters(self, counters):
-        for key, value in counters.items():
-            self.cache_counters[key] = \
-                self.cache_counters.get(key, 0) + value
-
     def _count(self, source):
         return sum(1 for cell in self.cells if cell[4] == source)
 
@@ -140,63 +133,3 @@ class SweepProfile:
                               for key in sorted(self.cache_counters))
             text += "\n(cache counters: %s)" % (pairs,)
         return text
-
-
-def _progress(stream, done, total, cell, cache_hit):
-    name, letter, width = cell
-    stream.write("\r[%*d/%d] %s/w%-4d %-10s%s"
-                 % (len(str(total)), done, total, letter, width, name,
-                    " (cache)" if cache_hit else "        "))
-    if done == total:
-        stream.write("\n")
-    stream.flush()
-
-
-def run_cells(cells, scale, jobs=1, cache_dir=None, keep_schedules=False,
-              progress=None, sanitize=False):
-    """Run every ``(name, letter, width)`` cell; return results + profile.
-
-    Results come back in the order of ``cells`` regardless of ``jobs``,
-    so downstream figures and tables are identical to a serial run.
-
-    Parameters
-    ----------
-    jobs:
-        Worker process count; ``1`` runs inline (no pool, no pickling).
-    cache_dir:
-        Optional persistent cache directory (see :mod:`repro.cache`).
-    progress:
-        ``True`` for a stderr progress line, a callable
-        ``(done, total, cell, cache_hit)`` for custom reporting.
-    """
-    cells = [tuple(cell) for cell in cells]
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    tasks = [(index, name, letter, width, scale, cache_dir,
-              keep_schedules, sanitize)
-             for index, (name, letter, width) in enumerate(cells)]
-    profile = SweepProfile()
-    started = time.perf_counter()
-    results = [None] * len(cells)
-    if progress is True:
-        stream = sys.stderr
-        progress = (lambda done, total, cell, hit:
-                    _progress(stream, done, total, cell, hit))
-
-    def consume(outcomes):
-        done = 0
-        for index, payload, entry, counters in outcomes:
-            results[index] = SimResult.from_payload(payload)
-            profile.cells.append(entry)
-            profile.merge_cache_counters(counters)
-            done += 1
-            if progress is not None:
-                progress(done, len(cells), cells[index],
-                         entry[4] == "cache")
-
-    if jobs <= 1 or len(tasks) <= 1:
-        consume(map(_run_cell, tasks))
-    else:
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            consume(pool.imap_unordered(_run_cell, tasks))
-    profile.wall_seconds = time.perf_counter() - started
-    return results, profile

@@ -128,7 +128,7 @@ def shape_checks(runner):
 
 def generate(scale=1.0, widths=PAPER_ISSUE_WIDTHS,
              include_extensions=True, jobs=1, cache_dir=None,
-             profile=False, progress=None, sanitize=False):
+             profile=False, sanitize=False):
     """Build the full EXPERIMENTS.md text.
 
     ``jobs``/``cache_dir`` parallelise and persist the simulation grid
@@ -138,8 +138,7 @@ def generate(scale=1.0, widths=PAPER_ISSUE_WIDTHS,
     the model invariants (violations raise ``SanitizeError``).
     """
     runner = ExperimentRunner(scale=scale, widths=widths, jobs=jobs,
-                              cache_dir=cache_dir, progress=progress,
-                              sanitize=sanitize)
+                              cache_dir=cache_dir, sanitize=sanitize)
     started = time.time()
     # Resolve the simulation grid the registered exhibits will ask for
     # up front, so exhibit assembly is pure memo lookups (and actually
@@ -432,7 +431,6 @@ def main(argv=None):
     check_parent_dir(args.output)
     text = generate(scale=args.scale, jobs=args.jobs,
                     cache_dir=args.cache_dir, profile=args.profile,
-                    progress=True if args.jobs > 1 else None,
                     sanitize=args.sanitize)
     with open(args.output, "w") as handle:
         handle.write(text)

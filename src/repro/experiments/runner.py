@@ -2,9 +2,9 @@
 and an optional persistent disk cache.
 
 All paper exhibits share (trace, configuration) simulation results; the
-runner caches them in memory so regenerating every figure and table
-costs each simulation once.  Branch- and address-prediction passes are
-likewise cached per trace (they are configuration independent), and so
+runner memoises every cell it resolves, so regenerating every figure and
+table costs each simulation once.  Branch- and address-prediction passes
+are likewise cached per trace (they are configuration independent), and so
 is each workload's lint report, which every lint check run on the
 runner shares.  A configuration that only resizes the MDPT is derived
 from the default-geometry run whenever neither table can lose a pair
@@ -15,13 +15,15 @@ Two optional layers sit under the in-memory memo:
 - ``cache_dir`` plugs in a :class:`repro.cache.DiskCache`, so results
   (and traces) persist across processes and invocations;
 - ``jobs > 1`` makes :meth:`prefetch` / :meth:`sweep` fan cells out over
-  a process pool (:mod:`repro.experiments.parallel`) instead of
-  simulating serially.  Results are reassembled in deterministic order,
-  so exhibits are identical either way.
+  a process pool (the worker side is :mod:`repro.experiments.parallel`)
+  instead of simulating serially.  Each cell lands in the memo under its
+  own key, so exhibits are identical either way.
 """
 
 import copy
 import json
+import multiprocessing
+import sys
 import time
 from functools import partial
 
@@ -42,7 +44,7 @@ from ..workloads.registry import (
     cached_dae_plan,
     cached_trace,
 )
-from .parallel import SweepProfile, cell_label, run_cells
+from .parallel import SweepProfile, _run_cell, cell_label
 
 
 def _branch_from_payload(payload):
@@ -55,6 +57,17 @@ def _memo_key(name, config, extra_key):
     code version, which every cell of one runner shares."""
     return (name, json.dumps(config.fingerprint(), sort_keys=True),
             json.dumps(extra_key, sort_keys=True))
+
+
+def _progress(stream, done, total, cell, cache_hit):
+    """Rewrite the pool's one progress line for its ``done``-th cell."""
+    name, letter, width = cell
+    stream.write("\r[%*d/%d] %s/w%-4d %-10s%s"
+                 % (len(str(total)), done, total, letter, width, name,
+                    " (cache)" if cache_hit else "        "))
+    if done == total:
+        stream.write("\n")
+    stream.flush()
 
 
 def _renamed(result, config):
@@ -83,8 +96,6 @@ class ExperimentRunner:
         Process count for :meth:`prefetch`/:meth:`sweep`; 1 = serial.
     cache_dir:
         Directory for the persistent disk cache; ``None`` disables it.
-    progress:
-        Passed through to the parallel engine (``True`` = stderr line).
     sanitize:
         Attach a scheduler sanitizer (``repro.lint.sanitize``) to every
         simulation this runner performs; any invariant violation raises.
@@ -92,7 +103,8 @@ class ExperimentRunner:
 
     Cells resolve through one in-memory memo keyed like the disk
     cache's results (workload, config fingerprint, extra key), which
-    :meth:`result`, :meth:`prefetch` and the MDPT derivation fill.  A
+    :meth:`simulate` fills with every cell it resolves and
+    :meth:`prefetch` with every cell its pool resolves.  A
     configuration that sets ``mdpt_entries`` or ``mdpt_store_set`` is a
     *derived* cell when neither its table nor the default one can lose
     a pair the default-geometry run trained: its result is that run's,
@@ -102,20 +114,21 @@ class ExperimentRunner:
 
     def __init__(self, scale=1.0, widths=PAPER_ISSUE_WIDTHS, names=None,
                  keep_schedules=False, jobs=1, cache_dir=None,
-                 progress=None, sanitize=False):
+                 sanitize=False):
         self.scale = scale
         self.widths = tuple(widths)
         self.names = tuple(names) if names is not None \
             else tuple(w.name for w in SUITE)
-        #: keep per-instruction issue cycles on cached results (they are
-        #: only needed for schedule-level verification and cost O(trace)
-        #: memory per cached cell)
+        #: keep the schedule on cached results: per-instruction issue
+        #: cycles and the positions node elimination folded away, which
+        #: only the cycles give meaning to (both are only needed for
+        #: schedule-level verification and cost O(trace) memory per
+        #: cached cell)
         self.keep_schedules = keep_schedules
         self.jobs = max(1, int(jobs))
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.cache = DiskCache(cache_dir) if cache_dir is not None \
             else None
-        self.progress = progress
         self.sanitize = sanitize
         #: simulations that ran (and passed) under the sanitizer
         self.sanitized_runs = 0
@@ -195,8 +208,8 @@ class ExperimentRunner:
         :meth:`simulate` of the letter's configuration."""
         key = (name, letter, width)
         if key not in self._results:
-            self._results[key] = self._memoised(
-                name, paper_config(letter, width))
+            self._results[key] = self.simulate(name,
+                                               paper_config(letter, width))
         return self._results[key]
 
     def simulate(self, name, config, extra_key=None, load_prediction=None):
@@ -205,9 +218,8 @@ class ExperimentRunner:
         letters (:meth:`result`), pool workers and the extension
         exhibits' variants alike.
 
-        The memo comes first; it holds what :meth:`result`,
-        :meth:`prefetch` and the derivation resolved (a worker never
-        fills it).  A config that sets ``mdpt_entries`` or
+        The memo comes first; it holds every cell this method and
+        :meth:`prefetch` resolved.  A config that sets ``mdpt_entries`` or
         ``mdpt_store_set`` is then derived from the same config at the
         default geometry when :meth:`MDPT.lossless
         <repro.memdep.MDPT.lossless>` holds for both tables on that
@@ -221,7 +233,8 @@ class ExperimentRunner:
         distinguish the input the config fingerprint cannot express
         (e.g. which predictor table produced ``load_prediction``).
         """
-        memoised = self._memo.get(_memo_key(name, config, extra_key))
+        key = _memo_key(name, config, extra_key)
+        memoised = self._memo.get(key)
         if memoised is not None:
             return _renamed(memoised, config)
         if config.mdpt_entries is not None \
@@ -229,6 +242,7 @@ class ExperimentRunner:
             derived = self._derived(name, config, extra_key,
                                     load_prediction)
             if derived is not None:
+                self._memo[key] = derived
                 return derived
         started = time.perf_counter()
         result = None
@@ -252,18 +266,13 @@ class ExperimentRunner:
                 self.sanitized_runs += 1
             if not self.keep_schedules:
                 result.issue_cycles = None
+                result.eliminated_positions = frozenset()
             if self.cache is not None:
                 self.cache.store_result(result, name, self.scale, config,
                                         extra=extra_key)
         self._record(name, config, extra_key, started,
                      "cache" if cache_hit else "sim")
-        return result
-
-    def _memoised(self, name, config, extra_key=None,
-                  load_prediction=None):
-        """:meth:`simulate`, remembered in the memo."""
-        result = self.simulate(name, config, extra_key, load_prediction)
-        self._memo.setdefault(_memo_key(name, config, extra_key), result)
+        self._memo[key] = result
         return result
 
     def _derived(self, name, config, extra_key, load_prediction):
@@ -278,7 +287,7 @@ class ExperimentRunner:
         same answers and ends with the same schedule and counters."""
         default = copy.copy(config)
         default.mdpt_entries = default.mdpt_store_set = None
-        base = self._memoised(name, default, extra_key, load_prediction)
+        base = self.simulate(name, default, extra_key, load_prediction)
         pairs = base.memdep.violation_pairs
         if not (MDPT.of(default).lossless(pairs)
                 and MDPT.of(config).lossless(pairs)):
@@ -307,45 +316,58 @@ class ExperimentRunner:
         """Cross-product cells not yet resolved in the in-memory memo.
 
         ``letters`` defaults to the live configuration registry
-        (:func:`repro.core.config.config_letters`).
+        (:func:`repro.core.config.config_letters`).  Each cell appears
+        once, so no pool worker is handed a cell twice.
         """
-        return [(name, letter, width)
-                for name in (names or self.names)
-                for letter in (letters if letters is not None
-                               else config_letters())
-                for width in (widths or self.widths)
-                if (name, letter, width) not in self._results]
+        return list(dict.fromkeys(
+            (name, letter, width)
+            for name in (names or self.names)
+            for letter in (letters if letters is not None
+                           else config_letters())
+            for width in (widths or self.widths)
+            if (name, letter, width) not in self._results))
 
     def prefetch(self, letters=None, names=None, widths=None):
         """Resolve the whole (names x letters x widths) grid up front.
 
-        With ``jobs > 1`` the missing cells fan out over a process pool;
-        either way, subsequent :meth:`result` calls are memo hits.
+        With ``jobs > 1`` two or more missing cells fan out over a
+        process pool, which writes a progress line to stderr; either
+        way, subsequent :meth:`result` calls are memo hits.
         ``letters`` defaults to the live configuration registry.
         Returns the number of cells resolved by this call.
         """
         cells = self.missing_cells(letters, names, widths)
-        if not cells:
-            return 0
-        if self.jobs <= 1:
-            for name, letter, width in cells:
-                self.result(name, letter, width)
-            return len(cells)
-        results, profile = run_cells(
-            cells, self.scale, jobs=self.jobs, cache_dir=self.cache_dir,
-            keep_schedules=self.keep_schedules, progress=self.progress,
-            sanitize=self.sanitize)
-        if self.sanitize:
-            self.sanitized_runs += profile.misses
-        for (name, letter, width), result in zip(cells, results):
-            self._results[(name, letter, width)] = result
-            self._memo.setdefault(
-                _memo_key(name, paper_config(letter, width), None), result)
-        self.profile.cells.extend(profile.cells)
-        self.profile.wall_seconds += profile.wall_seconds
-        if self.cache is not None:
-            self.cache.merge_counters(profile.cache_counters)
+        if self.jobs > 1 and len(cells) > 1:
+            self._pool(cells)
+        for name, letter, width in cells:
+            self.result(name, letter, width)
         return len(cells)
+
+    def _pool(self, cells):
+        """Resolve paper ``cells`` in worker processes into the memo.
+
+        Each worker returns a result payload, its profile entry and its
+        disk-cache counter deltas, which land in this runner's memo,
+        profile and cache counters."""
+        tasks = [(index, name, letter, width, self.scale, self.cache_dir,
+                  self.keep_schedules, self.sanitize)
+                 for index, (name, letter, width) in enumerate(cells)]
+        started = time.perf_counter()
+        with multiprocessing.Pool(min(self.jobs, len(tasks))) as pool:
+            outcomes = pool.imap_unordered(_run_cell, tasks)
+            for done, (index, payload, entry, counters) \
+                    in enumerate(outcomes, 1):
+                name, letter, width = cells[index]
+                self._memo[_memo_key(name, paper_config(letter, width),
+                                     None)] = SimResult.from_payload(payload)
+                self.profile.cells.append(entry)
+                if self.cache is not None:
+                    self.cache.merge_counters(counters)
+                if self.sanitize and entry[4] == "sim":
+                    self.sanitized_runs += 1
+                _progress(sys.stderr, done, len(cells), cells[index],
+                          entry[4] == "cache")
+        self.profile.wall_seconds += time.perf_counter() - started
 
     def sweep(self, letters, names=None):
         """Mapping (letter, width) -> list of per-workload results."""

@@ -5,10 +5,11 @@ Public surface:
 - :class:`~repro.isa.opcodes.Opcode` / :class:`~repro.isa.opcodes.OpClass`
 - :class:`~repro.isa.instruction.Instruction`
 - register conventions in :mod:`repro.isa.registers`
-- condition-code semantics in :mod:`repro.isa.condcodes`
+
+The condition codes (SPARC v8 icc: N, Z, V, C) are computed by the
+functional emulator, :mod:`repro.emu.machine`.
 """
 
-from .condcodes import MASK32, CondCodes, branch_taken, to_signed, to_unsigned
 from .instruction import Instruction
 from .opcodes import (
     CC_READERS,
@@ -26,7 +27,6 @@ from .opcodes import (
 from .registers import CC_INDEX, G0, LINK_REG, NUM_REGS, parse_reg, reg_name
 
 __all__ = [
-    "MASK32", "CondCodes", "branch_taken", "to_signed", "to_unsigned",
     "Instruction",
     "CC_READERS", "CC_WRITERS", "CLASS_CODE", "CLASS_LATENCY",
     "COLLAPSIBLE_CONSUMERS", "COLLAPSIBLE_PRODUCERS", "MEM_SIZE",

@@ -80,7 +80,13 @@ from .addrclass import (
 from .dae import static_signature
 from .findings import _REL_TOL, CheckResult
 from .induction import INV, IV
-from .memdep import _BOUND_BRANCHES, _Resolver, _is_exact, _join
+from .memdep import (
+    _BOUND_BRANCHES,
+    _Resolver,
+    _is_exact,
+    _join,
+    governing_cc,
+)
 from .sites import Site, SiteClassification, lattice
 
 #: branch predictability classes
@@ -279,7 +285,7 @@ class BranchFlowAnalysis(SiteClassification):
         if not all(dom.dominates(branch, tail)
                    for tail, _ in loop.back_edges):
             return None
-        cc_index = self._governing_cc(branch, loop)
+        cc_index = governing_cc(self.program.instructions, branch, loop)
         if cc_index is None:
             return None
         cc = self.program.instructions[cc_index]
@@ -322,19 +328,6 @@ class BranchFlowAnalysis(SiteClassification):
         if lo != anchor or hi != anchor:
             return None
         return anchor
-
-    def _governing_cc(self, branch, loop):
-        """Index of the straight-line cc-writer feeding ``branch``."""
-        instrs = self.program.instructions
-        j = branch - 1
-        while j >= 0 and j in loop.body:
-            ins = instrs[j]
-            if ins.is_control:
-                return None
-            if ins.writes_cc:
-                return j
-            j -= 1
-        return None
 
     def _entry_value(self, reg, loop, iv):
         """Exact constant value ``reg`` holds on every loop entry, or
@@ -387,7 +380,7 @@ class BranchFlowAnalysis(SiteClassification):
         reverse.
         """
         instrs = self.program.instructions
-        cc_index = self._governing_cc(branch, loop)
+        cc_index = governing_cc(instrs, branch, loop)
         if cc_index is None:
             return (CLASS_UNKNOWN, None, None, None,
                     "no in-loop cc writer")

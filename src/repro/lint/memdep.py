@@ -128,6 +128,21 @@ def _is_exact(form):
     return form is not None and form[1] == 0
 
 
+def governing_cc(instructions, branch, loop):
+    """Index of the condition-code writer feeding the branch at
+    ``branch``: the nearest preceding in-loop, straight-line instruction
+    that writes the condition codes, or None."""
+    j = branch - 1
+    while j >= 0 and j in loop.body:
+        ins = instructions[j]
+        if ins.is_control:
+            return None
+        if ins.writes_cc:
+            return j
+        j -= 1
+    return None
+
+
 class _Resolver:
     """Bounded-congruence evaluation of register values at sites."""
 
@@ -286,9 +301,10 @@ class _Resolver:
                 usable = False
                 break
             side = _BOUND_BRANCHES.get(ins.opcode)
-            cc = self._governing_compare(tail, loop)
-            if side is None or cc is None or cc.rs1 != reg \
-                    or cc.imm is None:
+            j = governing_cc(instrs, tail, loop)
+            cc = instrs[j] if j is not None else None
+            if side is None or cc is None or cc.opcode is not Opcode.SUBCC \
+                    or cc.rs1 != reg or cc.imm is None:
                 usable = False
                 break
             which, delta = side
@@ -301,21 +317,6 @@ class _Resolver:
             lo = hi = None
         self._bounds[key] = (lo, hi)
         return (lo, hi)
-
-    def _governing_compare(self, branch, loop):
-        """The cc-writer feeding the branch at ``branch``: the nearest
-        preceding in-loop, straight-line instruction that writes the
-        condition codes."""
-        instrs = self.program.instructions
-        j = branch - 1
-        while j >= 0 and j in loop.body:
-            ins = instrs[j]
-            if ins.is_control:
-                return None
-            if ins.writes_cc:
-                return ins if ins.opcode in (Opcode.SUBCC,) else None
-            j -= 1
-        return None
 
 
 # ----------------------------------------------------------------------

@@ -128,8 +128,7 @@ def test_result_round_trip_preserves_derived_measures(cache):
     assert loaded.branch.mispredicted == result.branch.mispredicted
     collapse, original = loaded.collapse, result.collapse
     assert collapse.events == original.events
-    assert collapse.instructions_collapsed == \
-        original.instructions_collapsed
+    assert collapse.collapsed == original.collapsed
     assert collapse.collapsed_fraction == \
         pytest.approx(original.collapsed_fraction)
     assert collapse.category_fractions() == original.category_fractions()

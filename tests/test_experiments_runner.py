@@ -102,3 +102,24 @@ def test_default_mdpt_cell_runs_once_and_geometries_derive(monkeypatch):
     assert len(derived) == 11 == len(set(derived))
     assert all(label.startswith("F+mdpt") for label in derived)
     assert "11 derived" in runner.profile.summary_line()
+
+
+def test_uncached_report_resolves_each_cell_once(monkeypatch):
+    """The report's grid, its extension exhibits and its lint checks
+    share one memo: without a disk cache, each (workload, label, width)
+    cell is simulated or derived once."""
+    from collections import Counter
+    from repro.experiments import report
+    runners = []
+
+    def recording(**kwargs):
+        runners.append(ExperimentRunner(**kwargs))
+        return runners[-1]
+
+    monkeypatch.setattr(report, "ExperimentRunner", recording)
+    report.generate(scale=0.01, widths=(8,))
+    cells = runners[0].profile.cells
+    repeats = [cell for cell, count
+               in Counter(cell[:3] for cell in cells).items() if count > 1]
+    assert repeats == []
+    assert Counter(cell[4] for cell in cells) == {"sim": 90, "derived": 66}

@@ -2,13 +2,23 @@
 
 import pytest
 
-from repro.experiments import ExperimentRunner, run_cells
+from repro.experiments import ExperimentRunner
 
+NAMES = ("eqntott", "li")
 GRID = [(name, letter, width)
-        for name in ("eqntott", "li")
+        for name in NAMES
         for letter in ("A", "D")
         for width in (4, 8)]
 SCALE = 0.03
+
+
+def resolved(jobs, cache_dir=None):
+    """A runner that prefetched ``GRID`` with ``jobs`` processes, and
+    its results in ``GRID`` order."""
+    runner = ExperimentRunner(scale=SCALE, widths=(4, 8), names=NAMES,
+                              jobs=jobs, cache_dir=cache_dir)
+    assert runner.prefetch(["A", "D"]) == len(GRID)
+    return runner, [runner.result(*cell) for cell in GRID]
 
 
 def assert_same_results(left, right):
@@ -22,21 +32,21 @@ def assert_same_results(left, right):
         assert a.loads.counts == b.loads.counts
         assert a.branch.accuracy == b.branch.accuracy
         assert a.collapse.events == b.collapse.events
-        assert a.collapse.instructions_collapsed == \
-            b.collapse.instructions_collapsed
+        assert a.collapse.collapsed == b.collapse.collapsed
         assert a.collapse.category_fractions() == \
             b.collapse.category_fractions()
 
 
 def test_parallel_results_identical_to_serial():
-    serial, _ = run_cells(GRID, SCALE, jobs=1)
-    parallel, _ = run_cells(GRID, SCALE, jobs=2)
+    _, serial = resolved(jobs=1)
+    _, parallel = resolved(jobs=2)
     assert [r.trace_name for r in serial] == [cell[0] for cell in GRID]
     assert_same_results(serial, parallel)
 
 
 def test_parallel_profile_counts_every_cell():
-    results, profile = run_cells(GRID, SCALE, jobs=2)
+    runner, _ = resolved(jobs=2)
+    profile = runner.profile
     assert len(profile.cells) == len(GRID)
     assert profile.misses == len(GRID)
     assert profile.hits == 0
@@ -48,32 +58,37 @@ def test_parallel_profile_counts_every_cell():
 
 def test_warm_cache_serves_every_cell(tmp_path):
     cache_dir = tmp_path / "cache"
-    cold, cold_profile = run_cells(GRID, SCALE, jobs=2,
-                                   cache_dir=cache_dir)
-    warm, warm_profile = run_cells(GRID, SCALE, jobs=2,
-                                   cache_dir=cache_dir)
-    assert cold_profile.hits == 0
-    assert warm_profile.hits == len(GRID)
-    assert warm_profile.cache_counters["result_hits"] == len(GRID)
+    cold_runner, cold = resolved(jobs=2, cache_dir=cache_dir)
+    warm_runner, warm = resolved(jobs=2, cache_dir=cache_dir)
+    assert cold_runner.profile.hits == 0
+    assert warm_runner.profile.hits == len(GRID)
+    assert warm_runner.profile.cache_counters["result_hits"] == len(GRID)
     assert_same_results(cold, warm)
 
 
 def test_cache_works_without_pool(tmp_path):
     cache_dir = tmp_path / "cache"
-    cold, _ = run_cells(GRID, SCALE, jobs=1, cache_dir=cache_dir)
-    warm, profile = run_cells(GRID, SCALE, jobs=1, cache_dir=cache_dir)
-    assert profile.hits == len(GRID)
+    _, cold = resolved(jobs=1, cache_dir=cache_dir)
+    runner, warm = resolved(jobs=1, cache_dir=cache_dir)
+    assert runner.profile.hits == len(GRID)
     assert_same_results(cold, warm)
 
 
-def test_progress_callback_sees_cells_in_completion_order():
-    seen = []
-    run_cells(GRID, SCALE, jobs=1,
-              progress=lambda done, total, cell, hit:
-              seen.append((done, total, cell, hit)))
-    assert [entry[0] for entry in seen] == list(range(1, len(GRID) + 1))
-    assert all(entry[1] == len(GRID) for entry in seen)
-    assert sorted(entry[2] for entry in seen) == sorted(GRID)
+def test_pool_writes_one_progress_line(capsys):
+    """The pool reports each finished cell on one rewritten stderr
+    line; a serial prefetch, and a pool's single missing cell, which
+    resolves in this process, write nothing."""
+    resolved(jobs=2)
+    err = capsys.readouterr().err
+    assert err.count("\r") == len(GRID) and err.endswith("\n")
+    assert "[%d/%d]" % (len(GRID), len(GRID)) in err
+    for name, letter, width in GRID:
+        assert "%s/w%-4d %s" % (letter, width, name) in err
+    resolved(jobs=1)
+    runner = ExperimentRunner(scale=SCALE, widths=(4,), names=NAMES[:1],
+                              jobs=2)
+    assert runner.prefetch(["A"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_runner_parallel_sweep_matches_serial_runner():
@@ -89,9 +104,9 @@ def test_runner_parallel_sweep_matches_serial_runner():
 
 
 def test_runner_prefetch_fills_memo_and_profile():
-    runner = ExperimentRunner(scale=SCALE, widths=(4,),
+    runner = ExperimentRunner(scale=SCALE, widths=(4, 4),
                               names=("eqntott",), jobs=2)
-    resolved = runner.prefetch(["A", "D"])
+    resolved = runner.prefetch(["A", "D", "A"])   # each cell once
     assert resolved == 2
     assert runner.prefetch(["A", "D"]) == 0       # memo hits, no re-run
     assert len(runner.profile.cells) == 2
@@ -167,15 +182,22 @@ def test_workers_memoise_predictor_passes(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    parallel._worker_runner.cache_clear()
+    def run(cells):
+        for index, (name, letter, width) in enumerate(cells):
+            parallel._run_cell((index, name, letter, width, SCALE, None,
+                                False, False))
+
     monkeypatch.setattr(runner, "load_outcomes",
                         counting("address", runner.load_outcomes))
     monkeypatch.setattr(runner, "value_outcomes",
                         counting("value", runner.value_outcomes))
-    run_cells([("eqntott", letter, width)
-               for letter in ("A", "I", "J") for width in (4, 8)],
-              SCALE, jobs=1)
-    assert calls == {"address": 0, "value": 1}
-    run_cells([("eqntott", letter, 4) for letter in ("B", "D", "I")],
-              SCALE, jobs=1)
-    assert calls == {"address": 1, "value": 1}
+    parallel._worker_runner.cache_clear()
+    try:
+        run([("eqntott", letter, width)
+             for letter in ("A", "I", "J") for width in (4, 8)])
+        assert calls == {"address": 0, "value": 1}
+        run([("eqntott", letter, 16) for letter in ("B", "D", "I")])
+        assert calls == {"address": 1, "value": 1}
+    finally:
+        # A pool forked from this process would inherit the runner.
+        parallel._worker_runner.cache_clear()

@@ -22,7 +22,7 @@ def test_pair_collapses_to_one_cycle():
     assert base.cycles == 2
     assert collapsed.cycles == 1
     assert collapsed.collapse.events == 1
-    assert collapsed.collapse.instructions_collapsed == 2
+    assert collapsed.collapse.collapsed == 2
     assert collapsed.collapse.collapsed_fraction == 1.0
 
 
@@ -222,7 +222,7 @@ def test_one_producer_can_collapse_into_many_consumers():
     result = sim(builder.build(), width=4, collapse=PAPER)
     assert result.collapse.events == 2
     assert result.cycles == 1
-    assert result.collapse.instructions_collapsed == 3
+    assert result.collapse.collapsed == 3
 
 
 def test_collapse_does_not_change_instruction_count():

@@ -108,7 +108,7 @@ def test_collapse_accounting_consistent(params):
     stats = result.collapse
     assert sum(stats.category_counts.values()) == stats.events
     assert sum(stats.distance_counts.values()) == stats.events
-    assert stats.instructions_collapsed <= len(trace)
+    assert stats.collapsed <= len(trace)
     assert 0.0 <= stats.collapsed_fraction <= 1.0
     # Pair + triple(+) signature events never exceed total events.
     recorded = (sum(stats.pair_signatures.values())
