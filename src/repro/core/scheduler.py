@@ -194,7 +194,7 @@ class WindowScheduler:
         entered = hook(parts, "entered")
         waives = hook(parts, "waives")
         issued_hook = hook(parts, "issued")
-        keeps = hook(parts, "keeps")
+        taint = hook(parts, "taint")
         slotless = hook(parts, "slotless", ())
         events = recovery.events if recovery is not None else ()
 
@@ -413,7 +413,7 @@ class WindowScheduler:
         # --------------------------------------------------------------
         def notify(p):
             comp = completion[p]
-            if keeps is not None and keeps(p):
+            if taint is not None and p in taint:
                 # p may yet be squashed: keep its consumer list so the
                 # squash can re-block unissued consumers.
                 plist = consumers.get(p)

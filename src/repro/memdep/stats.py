@@ -9,9 +9,10 @@ class MemDepStats(CounterRecord):
     Attributes
     ----------
     loads:          dynamic loads simulated
-    dependent:      loads with an in-flight prior store to the same word
-                    at window entry (the arc the perfect model would wait
-                    on)
+    dependent:      loads with any prior store to the same word (the
+                    arc the perfect model takes), whether or not that
+                    store is still in flight when the load enters the
+                    window
     synchronized:   loads the MDST held back behind a predicted store
     false_syncs:    synchronizations against a store that was *not* the
                     load's true producer (lost parallelism)
