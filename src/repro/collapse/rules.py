@@ -21,23 +21,19 @@ class CollapseRules:
     """Knobs of the collapsing mechanism."""
 
     __slots__ = ("max_group", "max_leaves", "allow_nonconsecutive",
-                 "allow_cross_block", "zero_detection", "max_distance")
+                 "allow_cross_block", "zero_detection")
 
     def __init__(self, max_group=3, max_leaves=4, allow_nonconsecutive=True,
-                 allow_cross_block=True, zero_detection=True,
-                 max_distance=None):
+                 allow_cross_block=True, zero_detection=True):
         if max_group < 2:
             raise ConfigError("max_group must be at least 2 (a pair)")
         if max_leaves < 2:
             raise ConfigError("max_leaves must be at least 2")
-        if max_distance is not None and max_distance < 1:
-            raise ConfigError("max_distance must be >= 1")
         self.max_group = max_group
         self.max_leaves = max_leaves
         self.allow_nonconsecutive = allow_nonconsecutive
         self.allow_cross_block = allow_cross_block
         self.zero_detection = zero_detection
-        self.max_distance = max_distance
 
     def fingerprint(self):
         """Stable JSON-safe description (disk-cache key component)."""
@@ -77,8 +73,6 @@ class CollapseRules:
             parts.append("within-block")
         if not self.zero_detection:
             parts.append("no-0op")
-        if self.max_distance is not None:
-            parts.append("distance<=%d" % self.max_distance)
         return ",".join(parts)
 
     def __repr__(self):

@@ -147,8 +147,7 @@ class WindowScheduler:
         collapsing = rules is not None
         # Rule checks run only when the rules impose them: the paper's
         # rules merge at any distance and across basic blocks.
-        check_distance = collapsing and (not rules.allow_nonconsecutive
-                                         or rules.max_distance is not None)
+        consecutive_only = collapsing and not rules.allow_nonconsecutive
         track_blocks = collapsing and not rules.allow_cross_block
         collapse_stats = CollapseStats()
         load_stats = LoadStats()
@@ -275,13 +274,7 @@ class WindowScheduler:
                 # Producer still pending in the window.
                 if collapsing and arc_collapsible and producer_ok_col[sidx[p]]:
                     distance = i - p
-                    legal = True
-                    if check_distance:
-                        if not rules.allow_nonconsecutive and distance != 1:
-                            legal = False
-                        if legal and rules.max_distance is not None \
-                                and distance > rules.max_distance:
-                            legal = False
+                    legal = not consecutive_only or distance == 1
                     if legal and track_blocks \
                             and block_of.get(p) != block_counter:
                         legal = False

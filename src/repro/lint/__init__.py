@@ -28,13 +28,7 @@ from .addrclass import (
     check_addr_untracked,
     cross_check,
 )
-from .analyzer import (
-    LINT_CHECKS,
-    lint_path,
-    lint_program,
-    lint_source,
-    lint_workload,
-)
+from .analyzer import lint_path, lint_program, lint_source, lint_workload
 from .branchflow import (
     ALL_BRANCH_CLASSES,
     BRANCH_COVERAGE_CAP,
@@ -112,7 +106,6 @@ __all__ = [
     "LintPass",
     "LintReport",
     "LintTable",
-    "LINT_CHECKS",
     "Loop",
     "LoopForest",
     "LoopRecurrence",

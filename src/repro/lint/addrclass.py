@@ -125,9 +125,9 @@ class AddressClassification(SiteClassification):
     COVERAGE_CAP = COVERAGE_CAP
     TABLE_ENTRIES = 4096
 
-    def __init__(self, program, cfg=None, forest=None):
-        SiteClassification.__init__(self, program, cfg, forest)
-        self.values = LoopValues(program, self.cfg, self.forest)
+    def __init__(self, program, cfg=None):
+        SiteClassification.__init__(self, program,
+                                    LoopValues(program, cfg))
         self._classify()
 
     def _classify(self):

@@ -46,15 +46,6 @@ from .registry import (
 )
 from .valueflow import ValueFlowAnalysis, valueflow_cross_check
 
-#: check name -> callable(program, cfg, file) for the dataflow passes
-LINT_CHECKS = {
-    "uninit-read": check_assignment,       # also emits cc-missing
-    "dead-store": check_dead_results,
-    "unreachable": check_unreachable,
-    "fallthrough-end": check_off_end,
-    "addr-untracked": check_addr_untracked,
-}
-
 # Each check's ``run(report, runner, name, width)`` calls its
 # ``*_cross_check`` through this module's global name at call time, so
 # a rebinding of that name (e.g. a profiling wrapper) takes effect.
@@ -108,8 +99,7 @@ def _collapse_lines(name, check, width):
                          "static collapse bound >= dynamic events",
         8, _check_collapse, _collapse_lines))
 def _pass_collapse_bound(ctx):
-    ctx.publish(StaticCollapseBound(ctx.program, rules=ctx.rules,
-                                    cfg=ctx.cfg))
+    ctx.publish(StaticCollapseBound(ctx.program, cfg=ctx.cfg))
 
 
 def _check_addr(report, runner, name, width):
@@ -186,9 +176,7 @@ def _value_lines(name, check, width):
         2048, _check_value, _value_lines))
 def _pass_valueflow(ctx):
     classes = ctx.report.analyses["addr-class"]
-    ctx.publish(ValueFlowAnalysis(ctx.program, cfg=ctx.cfg,
-                                  forest=classes.forest,
-                                  values=classes.values))
+    ctx.publish(ValueFlowAnalysis(ctx.program, values=classes.values))
 
 
 def _check_recur(report, runner, name, width):
@@ -238,10 +226,10 @@ def _recur_lines(name, check, width):
                          "machines (exit 2 on violation)",
         2048, _check_recur, _recur_lines))
 def _pass_recurrence(ctx):
-    classes = ctx.report.analyses["addr-class"]
+    analyses = ctx.report.analyses
     recurrence = ctx.publish(RecurrenceAnalysis(
-        ctx.program, cfg=ctx.cfg, forest=classes.forest, classes=classes,
-        valueflow=ctx.report.analyses["valueflow"]))
+        ctx.program, classes=analyses["addr-class"],
+        valueflow=analyses["valueflow"]))
     return recurrence.findings(file=ctx.file)
 
 
@@ -292,11 +280,8 @@ def _branch_lines(name, check, width):
                           "on violation)",
         2048, _check_branch, _branch_lines))
 def _pass_branchflow(ctx):
-    classes = ctx.report.analyses["addr-class"]
-    ctx.publish(BranchFlowAnalysis(ctx.program, cfg=ctx.cfg,
-                                   forest=classes.forest,
-                                   values=classes.values,
-                                   addr_classes=classes))
+    ctx.publish(BranchFlowAnalysis(
+        ctx.program, addr_classes=ctx.report.analyses["addr-class"]))
 
 
 def _check_memdep(report, runner, name, width):
@@ -333,8 +318,7 @@ def _memdep_lines(name, check, width):
         8, _check_memdep, _memdep_lines))
 def _pass_memdep(ctx):
     classes = ctx.report.analyses["addr-class"]
-    ctx.publish(MemDepBound(ctx.program, cfg=ctx.cfg,
-                            forest=classes.forest, values=classes.values))
+    ctx.publish(MemDepBound(ctx.program, values=classes.values))
 
 
 def _check_dae(report, runner, name, width):
@@ -368,19 +352,18 @@ def _dae_lines(name, check, width):
                        "depth bound (exit 2 on violation)",
         8, _check_dae, _dae_lines))
 def _pass_dae(ctx):
-    recurrence = ctx.report.analyses["recurrence"]
-    dae = ctx.publish(DAEAnalysis(ctx.program, cfg=ctx.cfg,
-                                  recurrence=recurrence))
+    dae = ctx.publish(DAEAnalysis(
+        ctx.program, recurrence=ctx.report.analyses["recurrence"]))
     return dae.findings(file=ctx.file)
 
 
-def lint_program(program, target="<program>", rules=None):
+def lint_program(program, target="<program>"):
     """Run all registered passes over an assembled program."""
     cfg = ControlFlowGraph(program)
     report = LintReport(target, [])
     report.instructions = cfg.n
     report.blocks = len(cfg.leaders)
-    ctx = LintContext(program, cfg, target, rules, report)
+    ctx = LintContext(program, cfg, target, report)
     for lint_pass in lint_passes():
         found = lint_pass.run(ctx)
         if found:
@@ -388,7 +371,7 @@ def lint_program(program, target="<program>", rules=None):
     return report
 
 
-def lint_source(text, target="<source>", rules=None):
+def lint_source(text, target="<source>"):
     """Assemble source text and lint it; assembly errors become
     findings."""
     try:
@@ -397,24 +380,22 @@ def lint_source(text, target="<source>", rules=None):
         report = LintReport(target, [Finding(
             "assemble", exc.bare_message, file=target, line=exc.line)])
         return report
-    return lint_program(program, target=target, rules=rules)
+    return lint_program(program, target=target)
 
 
-def lint_path(path, rules=None):
+def lint_path(path):
     """Lint one ``.s`` file from disk."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return lint_source(text, target=str(path), rules=rules)
+    return lint_source(text, target=str(path))
 
 
-def lint_workload(name, scale=0.05, rules=None):
+def lint_workload(name, scale=0.05):
     """Lint the assembly a registered workload generates at ``scale``."""
     from ..workloads.registry import get_workload
     workload = get_workload(name)
     program = workload.build(scale=scale)
-    return lint_program(program, target="<workload:%s>" % (name,),
-                        rules=rules)
+    return lint_program(program, target="<workload:%s>" % (name,))
 
 
-__all__ = ["lint_program", "lint_source", "lint_path", "lint_workload",
-           "LINT_CHECKS"]
+__all__ = ["lint_program", "lint_source", "lint_path", "lint_workload"]

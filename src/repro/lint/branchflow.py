@@ -71,7 +71,7 @@ config-J early-resolution coverage`` closes the cross-check.
 """
 
 from ..isa.opcodes import Opcode
-from ..trace.records import BRC, StaticTable
+from ..trace.records import BRC
 from .addrclass import (
     CLASS_AFFINE as ADDR_AFFINE,
     CLASS_STRIDE as ADDR_STRIDE,
@@ -80,13 +80,7 @@ from .addrclass import (
 from .dae import static_signature
 from .findings import _REL_TOL, CheckResult
 from .induction import INV, IV
-from .memdep import (
-    _BOUND_BRANCHES,
-    _Resolver,
-    _is_exact,
-    _join,
-    governing_cc,
-)
+from .memdep import _BOUND_BRANCHES, _is_exact, _join, governing_cc
 from .sites import Site, SiteClassification, lattice
 
 #: branch predictability classes
@@ -201,18 +195,12 @@ class BranchFlowAnalysis(SiteClassification):
     COVERAGE_CAP = BRANCH_COVERAGE_CAP
     TABLE_ENTRIES = _PC_TABLE_ENTRIES
 
-    def __init__(self, program, cfg=None, forest=None, values=None,
-                 addr_classes=None):
-        SiteClassification.__init__(self, program, cfg, forest)
+    def __init__(self, program, addr_classes=None):
         if addr_classes is None:
-            addr_classes = AddressClassification(
-                program, cfg=self.cfg, forest=self.forest)
+            addr_classes = AddressClassification(program)
+        SiteClassification.__init__(self, program, addr_classes.values)
         self.addr_classes = addr_classes
-        self.values = values if values is not None \
-            else addr_classes.values
-        self.table = StaticTable.from_program(program)
-        self._resolver = _Resolver(program, self.cfg, self.forest,
-                                   self.values)
+        self.table = self.cfg.table
         self._classify()
 
     def _classify(self):
@@ -321,7 +309,7 @@ class BranchFlowAnalysis(SiteClassification):
             return cc.imm
         if cc.rs2 < 0:
             return None
-        form = self._resolver.value_at(cc.rs2, cc_index)
+        form = self.values.resolver.value_at(cc.rs2, cc_index)
         if not _is_exact(form):
             return None
         anchor, _, lo, hi = form
@@ -336,7 +324,7 @@ class BranchFlowAnalysis(SiteClassification):
         the compare site would miss the seed whenever the IV update
         precedes the compare within the iteration — the update kills
         the seed definition on every path to the compare.)"""
-        resolver = self._resolver
+        resolver = self.values.resolver
         state = resolver.reach[loop.header]
         if state is None:
             return None
@@ -390,7 +378,7 @@ class BranchFlowAnalysis(SiteClassification):
             stack.append((cc.rs1, cc_index))
         if cc.imm is None and cc.rs2 >= 0:
             stack.append((cc.rs2, cc_index))
-        reach = self._resolver.reach
+        reach = self.values.reach
         entry_bit = 1 << self.cfg.n
         ivs = self.values.ivs_of(loop)
         kinds = set()

@@ -22,9 +22,15 @@ Two successor conventions are provided:
 
 A successor equal to ``len(program)`` is the *off-end* pseudo-node:
 execution would fall through past the end of ``.text``.
+
+The graph also owns the facts every pass reads: the strict predecessor
+lists (``preds``) and the program's
+:class:`~repro.trace.records.StaticTable` (``table``, built on first
+use).
 """
 
 from ..isa.opcodes import Opcode, OpClass
+from ..trace.records import StaticTable
 
 
 class ControlFlowGraph:
@@ -51,6 +57,14 @@ class ControlFlowGraph:
                 continue
         self.labelled = frozenset(labelled)
         self._strict = [self._strict_successors(i) for i in range(self.n)]
+        #: strict predecessors per instruction, in index order (the
+        #: off-end node has none)
+        self.preds = [[] for _ in range(self.n)]
+        for i, succs in enumerate(self._strict):
+            for s in succs:
+                if s < self.n:
+                    self.preds[s].append(i)
+        self._table = None
         self.leaders = self._compute_leaders()
         self.reachable = self._compute_reachable()
 
@@ -74,6 +88,13 @@ class ControlFlowGraph:
     def successors(self, i):
         """Strict successors (may include ``n``: the off-end node)."""
         return self._strict[i]
+
+    @property
+    def table(self):
+        """The program's :class:`~repro.trace.records.StaticTable`."""
+        if self._table is None:
+            self._table = StaticTable.from_program(self.program)
+        return self._table
 
     def may_successors(self, i):
         """Superset of every dynamically possible successor."""

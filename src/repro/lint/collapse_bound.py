@@ -32,7 +32,6 @@ from collections import Counter
 
 from ..collapse.classify import Group, merge_category
 from ..collapse.rules import CollapseRules
-from ..trace.records import StaticTable
 from .cfg import ControlFlowGraph
 from .findings import CheckResult
 
@@ -46,7 +45,7 @@ class StaticCollapseBound:
         self.program = program
         self.rules = rules if rules is not None else CollapseRules.paper()
         self.cfg = cfg if cfg is not None else ControlFlowGraph(program)
-        self.table = StaticTable.from_program(program)
+        self.table = self.cfg.table
         n = len(self.table)
         producer_mask = 0
         for i in range(n):

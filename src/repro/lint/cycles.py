@@ -1,4 +1,5 @@
-"""Elementary-cycle enumeration (Johnson 1975).
+"""Strongly connected components (Tarjan) and elementary-cycle
+enumeration (Johnson 1975).
 
 The recurrence analyzer (:mod:`repro.lint.recurrence`) needs every
 *elementary* cycle — a closed walk visiting no node twice — of the
@@ -15,60 +16,66 @@ still capped (``limit``) because a pathological dependence mesh can
 hold exponentially many cycles.  Truncation is *sound* for the
 recurrence bounds (missing a cycle can only weaken them), but callers
 surface it as a note.
+
+:func:`cyclic_components` is the one SCC routine of the lint package:
+Johnson's enumeration runs it per start node, and the loop forest
+(:mod:`repro.lint.loops`) flags irreducible regions with it.
 """
 
 
-def _scc_component(graph, start):
-    """The strongly connected component of ``start`` in ``graph``
-    (adjacency dict), or None when ``start`` lies on no cycle.
+def cyclic_components(graph):
+    """The strongly connected components of a directed graph that
+    contain a cycle: every component of two or more nodes, and a single
+    node only when it has a self edge.
 
-    Iterative Tarjan restricted to nodes reachable from ``start``.
-    A single node counts only when it has a self edge.
+    ``graph`` maps every node to a sequence of its successors, each of
+    them a node of ``graph``.  Iterative Tarjan; returns a list of
+    frozensets.
     """
     index = {}
     low = {}
     on_stack = set()
     stack = []
-    result = [None]
-    counter = [0]
-    work = [(start, 0, None)]
-    while work:
-        v, pi, _ = work[-1]
-        if pi == 0:
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-        succs = graph.get(v, ())
-        recursed = False
-        while pi < len(succs):
-            w = succs[pi]
-            pi += 1
-            if w not in index:
-                work[-1] = (v, pi, None)
-                work.append((w, 0, None))
-                recursed = True
-                break
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if recursed:
+    components = []
+    for root in graph:
+        if root in index:
             continue
-        if low[v] == index[v]:
-            scc = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                scc.append(w)
-                if w == v:
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on_stack.add(v)
+            succs = graph[v]
+            recursed = False
+            while pi < len(succs):
+                w = succs[pi]
+                pi += 1
+                if w not in index:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    recursed = True
                     break
-            if start in scc and (len(scc) > 1
-                                 or start in graph.get(start, ())):
-                result[0] = frozenset(scc)
-        work.pop()
-        if work:
-            parent = work[-1][0]
-            low[parent] = min(low[parent], low[v])
-    return result[0]
+                elif w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if recursed:
+                continue
+            if low[v] == index[v]:
+                scc = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    scc.append(w)
+                    if w == v:
+                        break
+                if len(scc) > 1 or v in succs:
+                    components.append(frozenset(scc))
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return components
 
 
 def elementary_cycles(graph, limit=1024):
@@ -93,7 +100,8 @@ def elementary_cycles(graph, limit=1024):
         # cycles whose smallest node is s.
         sub = {u: [w for w in adjacency[u] if w >= s]
                for u in nodes if u >= s}
-        component = _scc_component(sub, s)
+        component = next((c for c in cyclic_components(sub) if s in c),
+                         None)
         if component is None:
             continue
         comp_adj = {u: [w for w in sub[u] if w in component]
@@ -157,4 +165,4 @@ def elementary_cycles(graph, limit=1024):
     return cycles, truncated
 
 
-__all__ = ["elementary_cycles"]
+__all__ = ["cyclic_components", "elementary_cycles"]

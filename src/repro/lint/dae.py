@@ -112,12 +112,9 @@ class DAELoop:
 class DAEAnalysis:
     """Access/execute slices over all innermost reducible loops."""
 
-    def __init__(self, program, cfg=None, forest=None, classes=None,
-                 recurrence=None):
+    def __init__(self, program, recurrence=None):
         if recurrence is None:
-            recurrence = RecurrenceAnalysis(program, cfg=cfg,
-                                            forest=forest,
-                                            classes=classes)
+            recurrence = RecurrenceAnalysis(program)
         self.program = program
         self.recurrence = recurrence
         self.table = recurrence.table

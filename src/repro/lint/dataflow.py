@@ -155,11 +155,7 @@ def check_dead_results(program, cfg, file="<program>"):
     n = cfg.n
     if not n:
         return []
-    preds = [[] for _ in range(n)]
-    for i in range(n):
-        for s in cfg.successors(i):
-            if s < n:
-                preds[s].append(i)
+    preds = cfg.preds
     live_in = [0] * n
     live_out = [0] * n
     work = list(range(n))

@@ -36,7 +36,9 @@ Two layers:
 """
 
 from ..isa.opcodes import Opcode
+from .cfg import ControlFlowGraph
 from .dataflow import reg_defs
+from .loops import LoopForest
 
 #: value-form kind tags
 INV = "inv"
@@ -117,7 +119,7 @@ class BasicIV:
         self.sites = frozenset(sites)
 
 
-def find_basic_ivs(program, cfg, forest, loop, domtree=None):
+def find_basic_ivs(program, forest, loop):
     """Basic IVs of ``loop``: registers whose only in-body definitions
     are self-updates ``r = r ± imm``.
 
@@ -130,7 +132,7 @@ def find_basic_ivs(program, cfg, forest, loop, domtree=None):
     precisely what the two-delta table cannot lock onto.
     """
     instrs = program.instructions
-    dom = domtree if domtree is not None else forest.dom
+    dom = forest.dom
     defs_in_body = {}
     for site in loop.body:
         ins = instrs[site]
@@ -159,24 +161,38 @@ def find_basic_ivs(program, cfg, forest, loop, domtree=None):
 
 
 class LoopValues:
-    """Loop-relative symbolic evaluation of register values."""
+    """Loop-relative symbolic evaluation of register values.
 
-    def __init__(self, program, cfg, forest, reach=None):
+    Built over the loop forest of ``cfg`` (a fresh CFG of ``program``
+    when None).  Owns the value facts the loop passes share: the strict
+    reaching writers, the basic IVs of each loop and the one
+    bounded-congruence :attr:`resolver`.
+    """
+
+    def __init__(self, program, cfg=None):
         self.program = program
-        self.cfg = cfg
-        self.forest = forest
-        self.reach = reach if reach is not None \
-            else strict_reaching_writers(program, cfg)
+        self.cfg = cfg if cfg is not None else ControlFlowGraph(program)
+        self.forest = LoopForest(self.cfg)
+        self.reach = strict_reaching_writers(program, self.cfg)
         self._ivs = {}          # loop header -> {reg: BasicIV}
         self._cache = {}
+        self._resolver = None
 
     def ivs_of(self, loop):
         ivs = self._ivs.get(loop.header)
         if ivs is None:
-            ivs = find_basic_ivs(self.program, self.cfg, self.forest,
-                                 loop)
+            ivs = find_basic_ivs(self.program, self.forest, loop)
             self._ivs[loop.header] = ivs
         return ivs
+
+    @property
+    def resolver(self):
+        """The bounded-congruence resolver over these values
+        (:class:`repro.lint.memdep._Resolver`), built on first use."""
+        if self._resolver is None:
+            from .memdep import _Resolver
+            self._resolver = _Resolver(self)
+        return self._resolver
 
     # ------------------------------------------------------------------
 

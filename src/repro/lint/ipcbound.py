@@ -105,14 +105,15 @@ def variant_depth_arrays(trace, classes, value_cut=None):
     return arrays
 
 
-def _scan_runs(analysis, trace):
+def _scan_runs(analysis, trace, variants):
     """Per-loop runs of the trace: consecutive positions inside one
-    analyzed loop's body, with the positions of every variant's anchor
-    instruction.  Yields ``(rec, anchors)``."""
+    analyzed loop's body, with the positions of the anchor instruction
+    of each of ``variants``.  A loop that none of them bounds gives no
+    runs.  Returns a list of ``(rec, anchors)``."""
     body_loop = {}
     anchor_sets = {}
     for rec in analysis.loops:
-        anchors = {rec.best[v].anchor for v in VARIANTS
+        anchors = {rec.best[v].anchor for v in variants
                    if rec.best[v] is not None}
         if not anchors:
             continue
@@ -178,7 +179,7 @@ def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048):
 
     # ---- link 1: static per-lap latency <= dynamic depth growth
     checked_loops = set()
-    for rec, anchors in _scan_runs(analysis, trace):
+    for rec, anchors in _scan_runs(analysis, trace, VARIANTS):
         check.runs_checked += 1
         checked_loops.add(id(rec))
         for variant in VARIANTS:

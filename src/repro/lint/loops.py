@@ -18,6 +18,8 @@ classification treats everything reachable in such a region
 conservatively.
 """
 
+from .cycles import cyclic_components
+
 
 class DominatorTree:
     """Immediate dominators for the reachable part of a strict CFG."""
@@ -62,12 +64,7 @@ class DominatorTree:
         rpo = self.rpo
         if not rpo:
             return
-        index = self._rpo_index
-        preds = [[] for _ in range(cfg.n)]
-        for node in rpo:
-            for s in cfg.successors(node):
-                if s < cfg.n and s in index:
-                    preds[s].append(node)
+        preds = cfg.preds
         idom = self.idom
         entry = cfg.entry
         idom[entry] = entry
@@ -146,13 +143,14 @@ class LoopForest:
         not dominate the tail — entries into a multiple-entry cycle
     """
 
-    def __init__(self, cfg, domtree=None):
+    def __init__(self, cfg):
         self.cfg = cfg
-        self.dom = domtree if domtree is not None else DominatorTree(cfg)
+        self.dom = DominatorTree(cfg)
         self.irreducible_edges = []
         self.loops = self._find_loops()
         self._nest()
         self._innermost = self._map_innermost()
+        self._irreducible = self._irreducible_nodes()
 
     # ------------------------------------------------------------------
 
@@ -186,12 +184,7 @@ class LoopForest:
         """Nodes that reach a back-edge tail without passing the
         header, plus the header itself (the standard construction over
         reversed edges)."""
-        cfg = self.cfg
-        preds = [[] for _ in range(cfg.n)]
-        for i in range(cfg.n):
-            for s in cfg.successors(i):
-                if s < cfg.n:
-                    preds[s].append(i)
+        preds = self.cfg.preds
         body = {header}
         stack = [tail for tail, _ in back_edges]
         while stack:
@@ -243,68 +236,17 @@ class LoopForest:
         need a full SCC computation; we flag the whole SCC of each
         irreducible edge head instead.
         """
-        return node in self._irreducible_nodes()
+        return node in self._irreducible
 
     def _irreducible_nodes(self):
+        """Union of the strongly connected components containing each
+        irreducible retreating edge (over the strict CFG)."""
         if not self.irreducible_edges:
             return frozenset()
-        if not hasattr(self, "_irr_cache"):
-            self._irr_cache = self._compute_irreducible_nodes()
-        return self._irr_cache
-
-    def _compute_irreducible_nodes(self):
-        """Union of the strongly connected components containing each
-        irreducible retreating edge (Tarjan over the strict CFG)."""
         cfg = self.cfg
-        n = cfg.n
-        index = [None] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack = []
-        sccs = []
-        counter = [0]
-
-        def strongconnect(v0):
-            work = [(v0, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    index[v] = low[v] = counter[0]
-                    counter[0] += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                recurse = False
-                succs = [s for s in cfg.successors(v) if s < n]
-                while pi < len(succs):
-                    w = succs[pi]
-                    pi += 1
-                    if index[w] is None:
-                        work[-1] = (v, pi)
-                        work.append((w, 0))
-                        recurse = True
-                        break
-                    elif on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if recurse:
-                    continue
-                if low[v] == index[v]:
-                    scc = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        scc.append(w)
-                        if w == v:
-                            break
-                    if len(scc) > 1 or v in cfg.successors(v):
-                        sccs.append(frozenset(scc))
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-
-        for v in range(n):
-            if index[v] is None and v in self.cfg.reachable:
-                strongconnect(v)
+        sccs = cyclic_components(
+            {i: [s for s in cfg.successors(i) if s < cfg.n]
+             for i in range(cfg.n)})
         flagged = set()
         for tail, head in self.irreducible_edges:
             for scc in sccs:

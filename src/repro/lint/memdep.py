@@ -42,10 +42,8 @@ distinct dynamic pair count from above.
 from math import gcd
 
 from ..isa.opcodes import Opcode
-from .cfg import ControlFlowGraph
 from .findings import CheckResult
 from .induction import LoopValues
-from .loops import LoopForest
 
 _MASK32 = 0xFFFFFFFF
 _NUM_REGS = 32
@@ -144,18 +142,34 @@ def governing_cc(instructions, branch, loop):
 
 
 class _Resolver:
-    """Bounded-congruence evaluation of register values at sites."""
+    """Bounded-congruence evaluation of register values at sites, over
+    one :class:`~repro.lint.induction.LoopValues` (its
+    :attr:`~repro.lint.induction.LoopValues.resolver`)."""
 
-    def __init__(self, program, cfg, forest, values):
-        self.program = program
-        self.cfg = cfg
-        self.forest = forest
+    def __init__(self, values):
+        self.program = values.program
+        self.cfg = values.cfg
+        self.forest = values.forest
         self.values = values
         self.reach = values.reach
         self._cache = {}
         self._bounds = {}
 
     # ------------------------------------------------------------------
+
+    def address_form(self, i):
+        """Form of memory instruction ``i``'s address, or None."""
+        ins = self.program.instructions[i]
+        if ins.rs1 < 0:
+            return _const(ins.imm if ins.imm is not None else 0)
+        base = self.value_at(ins.rs1, i)
+        if ins.imm is not None:
+            offset = _const(ins.imm)
+        elif ins.rs2 >= 0:
+            offset = self.value_at(ins.rs2, i)
+        else:
+            offset = _const(0)
+        return _add(base, offset)
 
     def value_at(self, reg, site, _visiting=None):
         """Form of ``reg``'s value when ``site`` executes, or None."""
@@ -366,39 +380,24 @@ class MemDepBound:
     the store->load dependences any trace of the program can exhibit.
     """
 
-    def __init__(self, program, cfg=None, forest=None, values=None):
+    def __init__(self, program, values=None):
         self.program = program
-        self.cfg = cfg if cfg is not None else ControlFlowGraph(program)
-        self.forest = forest if forest is not None \
-            else LoopForest(self.cfg)
         self.values = values if values is not None \
-            else LoopValues(program, self.cfg, self.forest)
-        self._resolver = _Resolver(program, self.cfg, self.forest,
-                                   self.values)
+            else LoopValues(program)
         self.loads = []
         self.stores = []
         self._collect()
         self.conflict_pairs = self._conflicts()
 
     def _collect(self):
-        resolver = self._resolver
+        resolver = self.values.resolver
         for i, ins in enumerate(self.program.instructions):
             if not (ins.is_load or ins.is_store):
                 continue
-            if ins.rs1 < 0:
-                form = _const(ins.imm if ins.imm is not None else 0)
-            else:
-                base = resolver.value_at(ins.rs1, i)
-                if ins.imm is not None:
-                    offset = _const(ins.imm)
-                elif ins.rs2 >= 0:
-                    offset = resolver.value_at(ins.rs2, i)
-                else:
-                    offset = _const(0)
-                form = _add(base, offset)
             ref = MemRef(i, ins.line,
                          self.program.address_of_index(i),
-                         "load" if ins.is_load else "store", form)
+                         "load" if ins.is_load else "store",
+                         resolver.address_form(i))
             (self.loads if ins.is_load else self.stores).append(ref)
 
     def _conflicts(self):

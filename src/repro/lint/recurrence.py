@@ -55,13 +55,11 @@ from fractions import Fraction
 from itertools import islice, product
 
 from ..isa.opcodes import Opcode
-from ..trace.records import LD, ST, StaticTable
+from ..trace.records import LD, ST
 from .addrclass import PREDICTABLE_CLASSES, AddressClassification
-from .cfg import ControlFlowGraph
 from .cycles import elementary_cycles
 from .findings import Finding, SEV_WARNING
 from .induction import INV
-from .loops import LoopForest
 from .valueflow import ValueFlowAnalysis
 
 #: graph variants, in report order
@@ -72,6 +70,8 @@ _CC = 32
 
 #: cap on per-cycle parallel-edge combinations evaluated exactly
 _COMBO_CAP = 64
+#: cap on the elementary cycles enumerated per loop
+_CYCLE_LIMIT = 256
 
 
 class RecEdge:
@@ -168,22 +168,18 @@ class RecurrenceAnalysis:
     """Per-program recurrence bounds over all innermost reducible
     loops."""
 
-    def __init__(self, program, cfg=None, forest=None, classes=None,
-                 valueflow=None, cycle_limit=256):
+    def __init__(self, program, classes=None, valueflow=None):
         self.program = program
-        self.cfg = cfg if cfg is not None else ControlFlowGraph(program)
-        self.forest = forest if forest is not None \
-            else LoopForest(self.cfg)
         self.classes = classes if classes is not None \
-            else AddressClassification(program, self.cfg, self.forest)
+            else AddressClassification(program)
         self.valueflow = valueflow if valueflow is not None \
-            else ValueFlowAnalysis(program, self.cfg, self.forest,
-                                   values=self.classes.values)
+            else ValueFlowAnalysis(program, values=self.classes.values)
+        self.cfg = self.classes.cfg
+        self.forest = self.classes.forest
         #: static indices variant V cuts the out-edges of — the single
         #: source of truth shared with the dynamic graph V
         self.value_cut = self.valueflow.cut_indices()
-        self.table = StaticTable.from_program(program)
-        self.cycle_limit = cycle_limit
+        self.table = self.cfg.table
         self.loops = []             # LoopRecurrence, analyzed loops
         #: instruction indices heading cycles no bound is derived for:
         #: natural-loop headers inside irreducible regions, plus the
@@ -435,7 +431,7 @@ class RecurrenceAnalysis:
             graph.setdefault(edge.dst, set())
         node_cycles, truncated = elementary_cycles(
             {u: sorted(vs) for u, vs in graph.items()},
-            limit=self.cycle_limit)
+            limit=_CYCLE_LIMIT)
         cycles = []
         for nodes in node_cycles:
             hops = [by_pair[(nodes[k], nodes[(k + 1) % len(nodes)])]

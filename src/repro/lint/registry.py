@@ -27,14 +27,12 @@ from ..metrics import render_table
 class LintContext:
     """Everything one lint run hands to its passes."""
 
-    __slots__ = ("program", "cfg", "file", "rules", "report", "current")
+    __slots__ = ("program", "cfg", "file", "report", "current")
 
-    def __init__(self, program, cfg, file, rules, report):
+    def __init__(self, program, cfg, file, report):
         self.program = program
         self.cfg = cfg
         self.file = file
-        #: CollapseRules override (None = paper rules)
-        self.rules = rules
         self.report = report
         #: name of the pass being run (set by the driver)
         self.current = None

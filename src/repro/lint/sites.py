@@ -12,9 +12,6 @@ the order and join of a class lattice.
 
 from collections import Counter
 
-from .cfg import ControlFlowGraph
-from .loops import LoopForest
-
 
 class Site:
     """One classified static instruction."""
@@ -38,14 +35,16 @@ class SiteClassification:
     dynamic sites the predictor may cover) and ``TABLE_ENTRIES`` (the
     predictor's direct-mapped PC-indexed table), and classifies into
     ``sites`` and ``by_index``; :attr:`observed` names the sites the
-    predictor sees.
+    predictor sees.  ``values`` is the program's
+    :class:`~repro.lint.induction.LoopValues`; the CFG and loop forest
+    are its own.
     """
 
-    def __init__(self, program, cfg, forest):
+    def __init__(self, program, values):
         self.program = program
-        self.cfg = cfg if cfg is not None else ControlFlowGraph(program)
-        self.forest = forest if forest is not None \
-            else LoopForest(self.cfg)
+        self.values = values
+        self.cfg = values.cfg
+        self.forest = values.forest
         self.sites = []
         self.by_index = {}
 

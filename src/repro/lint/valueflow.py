@@ -66,7 +66,7 @@ from .addrclass import LoadStreamCheck, _check_load_stream
 from .dataflow import reg_defs
 from .findings import _REL_TOL
 from .induction import AFFINE, INV, IV, LOAD, LoopValues
-from .memdep import _add, _const, _disjoint, _Resolver
+from .memdep import _disjoint
 from .sites import Site, SiteClassification, lattice
 
 CLASS_CONSTANT = "constant"
@@ -158,12 +158,10 @@ class ValueFlowAnalysis(SiteClassification):
     COVERAGE_CAP = VALUE_COVERAGE_CAP
     TABLE_ENTRIES = 4096
 
-    def __init__(self, program, cfg=None, forest=None, values=None):
-        SiteClassification.__init__(self, program, cfg, forest)
-        self.values = values if values is not None \
-            else LoopValues(program, self.cfg, self.forest)
-        self._resolver = _Resolver(program, self.cfg, self.forest,
-                                   self.values)
+    def __init__(self, program, values=None):
+        SiteClassification.__init__(
+            self, program,
+            values if values is not None else LoopValues(program))
         self.load_sites = []        # the cross-check universe
         self._store_forms = {}      # loop header -> [(index, form)]
         self._classify()
@@ -236,7 +234,7 @@ class ValueFlowAnalysis(SiteClassification):
         if self._loop_has_call(loop):
             return ValueSite(i, line, pc, CLASS_LOAD, loop=loop,
                              note="call in loop may store")
-        form = self._ref_form(i, ins)
+        form = self.values.resolver.address_form(i)
         if form is None:
             return ValueSite(i, line, pc, CLASS_LOAD, loop=loop,
                              note="address unresolved")
@@ -252,25 +250,12 @@ class ValueFlowAnalysis(SiteClassification):
         instrs = self.program.instructions
         return any(instrs[s].opcode in _CALL_OPS for s in loop.body)
 
-    def _ref_form(self, i, ins):
-        """Bounded-congruence address form of a memory instruction
-        (mirrors ``MemDepBound._collect``)."""
-        if ins.rs1 < 0:
-            return _const(ins.imm if ins.imm is not None else 0)
-        base = self._resolver.value_at(ins.rs1, i)
-        if ins.imm is not None:
-            offset = _const(ins.imm)
-        elif ins.rs2 >= 0:
-            offset = self._resolver.value_at(ins.rs2, i)
-        else:
-            offset = _const(0)
-        return _add(base, offset)
-
     def _stores_of(self, loop):
         forms = self._store_forms.get(loop.header)
         if forms is None:
             instrs = self.program.instructions
-            forms = [(s, self._ref_form(s, instrs[s]))
+            address_form = self.values.resolver.address_form
+            forms = [(s, address_form(s))
                      for s in sorted(loop.body) if instrs[s].is_store]
             self._store_forms[loop.header] = forms
         return forms
@@ -429,7 +414,7 @@ def valueflow_cross_check(valueflow, trace, result=None, recurrence=None,
     check.graph_cp = issue_cycles(trace, depths)
     check.graph_ipc = n / check.graph_cp if check.graph_cp else 0.0
 
-    for rec, anchors in _scan_runs(recurrence, trace):
+    for rec, anchors in _scan_runs(recurrence, trace, ("V",)):
         lap = _lap(rec, anchors, "V", depths)
         if lap is None:
             continue

@@ -4,8 +4,9 @@ hypothesis to deterministic example generation so CI runs are stable.
 ``--hypothesis-profile=deep`` keeps that determinism and raises the
 example budget of every property test that sets no ``max_examples`` of
 its own (CI runs ``test_scheduler_recovery.py``,
-``test_mdpt_replay_producers.py``, ``test_memdep_mdpt.py`` and
-``test_reference_scheduler.py`` this way).
+``test_mdpt_replay_producers.py``, ``test_memdep_mdpt.py``,
+``test_reference_scheduler.py`` and ``test_lint_properties.py`` this
+way).
 
 ``--regen-golden`` rewrites the golden files under ``tests/golden/``
 from the current code instead of asserting them (see

@@ -187,8 +187,6 @@ def test_rules_validation():
         CollapseRules(max_group=1)
     with pytest.raises(ConfigError):
         CollapseRules(max_leaves=1)
-    with pytest.raises(ConfigError):
-        CollapseRules(max_distance=0)
 
 
 def test_rules_describe_mentions_restrictions():

@@ -1,26 +1,32 @@
-"""Property tests for the dominator tree and loop forest (hypothesis).
+"""Property tests for the dominator tree, loop forest and strongly
+connected components (hypothesis).
 
-The static recurrence bounds rest on two structural facts: dominance
-("a dominates b" = every entry-to-b path passes a) and natural-loop
-membership.  Both have direct brute-force definitions over small random
-graphs, so the fast algorithms are checked against those definitions
-on arbitrary CFG shapes, not just the handwritten cases.
+The static recurrence bounds rest on three structural facts: dominance
+("a dominates b" = every entry-to-b path passes a), natural-loop
+membership and the cyclic strongly connected components that Johnson's
+cycle enumeration and the irreducible-region flags both read.  Each has
+a direct brute-force definition over small random graphs, so the fast
+algorithms are checked against those definitions on arbitrary CFG
+shapes, not just the handwritten cases.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lint import DominatorTree, LoopForest
+from repro.lint.cycles import cyclic_components
 
 
 class FakeCFG:
-    """Duck-typed CFG: ``n``, ``entry`` and ``successors`` is all the
-    dominator/loop machinery reads."""
+    """Duck-typed CFG: ``n``, ``entry``, ``successors`` and ``preds``
+    is all the dominator/loop machinery reads."""
 
     def __init__(self, n, succ):
         self.n = n
         self.entry = 0
         self._succ = succ
+        self.preds = [[u for u in range(n) if v in succ.get(u, ())]
+                      for v in range(n)]
 
     def successors(self, node):
         return self._succ.get(node, ())
@@ -112,6 +118,21 @@ def test_irreducible_edges_are_undominated_retreats(cfg):
         assert not dominates_bf(cfg, reach, head, tail)
         # The edge closes a cycle: its head reaches its tail.
         assert tail in reachable_from(cfg, head)
+
+
+@settings(deadline=None)
+@given(cfgs())
+def test_cyclic_components_are_the_cyclic_reachability_classes(cfg):
+    graph = {u: list(cfg.successors(u)) for u in range(cfg.n)}
+    reach = {u: reachable_from(cfg, u) for u in range(cfg.n)}
+    expected = set()
+    for u in range(cfg.n):
+        mutual = frozenset(v for v in reach[u] if u in reach[v])
+        if len(mutual) > 1 or u in cfg.successors(u):
+            expected.add(mutual)
+    found = cyclic_components(graph)
+    assert len(found) == len(expected)
+    assert set(found) == expected
 
 
 # ---------------------------------------------------------------------

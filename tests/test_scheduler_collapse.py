@@ -150,20 +150,6 @@ def test_consecutive_only_rule_blocks_distant_pairs():
     assert adjacent.collapse.events == 1
 
 
-def test_max_distance_rule():
-    builder = TraceBuilder()
-    builder.add(dest=1, src1=9, imm=True)
-    builder.move(dest=5, imm=True)
-    builder.move(dest=6, imm=True)
-    builder.add(dest=2, src1=1, imm=True)       # distance 3
-    result = sim(builder.build(), width=4,
-                 collapse=CollapseRules(max_distance=2))
-    assert result.collapse.events == 0
-    result = sim(builder.build(), width=4,
-                 collapse=CollapseRules(max_distance=3))
-    assert result.collapse.events == 1
-
-
 def test_cross_block_rule():
     """A collapse across a branch is blocked by within_block_only."""
     builder = TraceBuilder()
