@@ -3,9 +3,10 @@
 A :class:`Group` is a (possibly single-instruction) dependence expression:
 the set of trace positions merged so far, their signatures in program
 order, and two operand counts — ``leaves`` excluding zero operands and
-``raw_leaves`` including them.  The timing simulator keeps one Group per
-in-window instruction; collapsing merges the producer's group into the
-consumer's.
+``raw_leaves`` including them.  The timing simulator keeps a Group for
+each unissued instruction that may be collapsed into a consumer, and
+builds a consumer's Group at its first merge attempt; collapsing merges
+the producer's group into the consumer's.
 
 The legality rule (Section 3): the merged expression must fit the
 collapsing device, i.e. have at most ``rules.max_leaves`` operands.  With
@@ -65,7 +66,8 @@ class Group:
         positions = self.positions
         producer_positions = producer.positions
         size = len(positions) + len(producer_positions)
-        leaves, raw = self.merged_counts(producer, uses)
+        leaves = self.leaves - uses + uses * producer.leaves
+        raw = self.raw_leaves - uses + uses * producer.raw_leaves
         if size > rules.max_group:
             # Section 3: "in some cases ... four dependent instructions can
             # also be collapsed" — the case being zero-operand detection

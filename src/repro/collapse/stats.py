@@ -54,7 +54,9 @@ def _ranked(signatures, count):
 
 
 class CollapseStats:
-    """Mutable collector; the scheduler calls :meth:`record_event`."""
+    """Mutable collector.  The scheduler tallies a run's events by
+    ``(category, distance, signatures)`` and folds the tally in once,
+    through :meth:`record_tally`."""
 
     __slots__ = ("events", "category_counts", "pair_signatures",
                  "triple_signatures", "collapsed", "distance_counts",
@@ -73,8 +75,8 @@ class CollapseStats:
         #: extension; zero under the paper's own model)
         self.eliminated = 0
 
-    def record_event(self, category, distance, chain_sigs):
-        """Record one collapse event.
+    def record_event(self, category, distance, chain_sigs, count=1):
+        """Record ``count`` identical collapse events.
 
         Parameters
         ----------
@@ -83,14 +85,22 @@ class CollapseStats:
         chain_sigs: signature strings for the *resulting* group, in
             program order (any sequence; copied into a tuple when counted)
         """
-        self.events += 1
-        self.category_counts[category] += 1
-        self.distance_counts[distance] += 1
+        self.events += count
+        self.category_counts[category] += count
+        self.distance_counts[distance] += count
         size = len(chain_sigs)
         if size == 2:
-            self.pair_signatures[tuple(chain_sigs)] += 1
+            self.pair_signatures[tuple(chain_sigs)] += count
         elif size >= 3:
-            self.triple_signatures[tuple(chain_sigs)] += 1
+            self.triple_signatures[tuple(chain_sigs)] += count
+
+    def record_tally(self, tally):
+        """Record a run's events from a ``{(category, distance,
+        chain_sigs): count}`` tally.  Iterating the tally in insertion
+        order leaves every counter's key order as one
+        :meth:`record_event` per event would."""
+        for (category, distance, chain_sigs), count in tally.items():
+            self.record_event(category, distance, chain_sigs, count)
 
     # ------------------------------------------------------------------
     # Derived measures.

@@ -166,10 +166,13 @@ class WindowScheduler:
         pend = {}               # pos -> set of unissued producer positions
         bound = [0] * n         # latest completion among resolved producers
         consumers = {}          # producer pos -> consumer positions
-        # pos -> collapse Group (while in window), collapsing only
+        # pos -> collapse Group of an unissued collapsible producer,
+        # collapsing only
         groups = {} if collapsing else None
         collapsed = set()       # positions that took part in a collapse
-        # pos -> dynamic basic-block id, within-block collapsing only
+        tally = {}              # (category, distance, sigs) -> merges
+        # producer pos -> dynamic basic-block id, within-block
+        # collapsing only
         block_of = {} if track_blocks else None
         eliminated = set()
 
@@ -259,8 +262,7 @@ class WindowScheduler:
             if triage is not None:
                 arcs = triage(i, arcs, pending, now)
             merged = None       # (producer, kind) arcs collapsed into i
-            group = Group(i, sig_col[s], leaves_col[s], zeros_col[s]) \
-                if collapsing else None
+            group = None        # i's expression, built at its first merge
 
             for p, kind, arc_collapsible, uses in arcs:
                 if issue_cycle[p] >= 0:
@@ -272,24 +274,31 @@ class WindowScheduler:
                         b_other = comp
                     continue
                 # Producer still pending in the window.
-                if collapsing and arc_collapsible and producer_ok_col[sidx[p]]:
+                if collapsing and arc_collapsible:
+                    # Only a collapsible producer has a group, until it
+                    # issues (a squashed producer left the group table
+                    # at its first issue and can no longer merge).
+                    pgroup = groups.get(p)
                     distance = i - p
-                    legal = not consecutive_only or distance == 1
+                    legal = pgroup is not None and (
+                        not consecutive_only or distance == 1)
                     if legal and track_blocks \
                             and block_of.get(p) != block_counter:
                         legal = False
                     if legal:
-                        # (a squashed producer left the group table at
-                        # its first issue and can no longer merge)
-                        pgroup = groups.get(p)
-                        category = group.try_merge(pgroup, uses, rules) \
-                            if pgroup is not None else None
+                        if group is None:
+                            group = Group(i, sig_col[s], leaves_col[s],
+                                          zeros_col[s])
+                        category = group.try_merge(pgroup, uses, rules)
                         if category is not None:
                             if san is not None:
                                 san.on_collapse(i, p, kind, group)
-                            collapse_stats.record_event(
-                                category, distance, group.sigs)
-                            collapsed.update(group.positions)
+                            key = (category, distance, tuple(group.sigs))
+                            tally[key] = tally.get(key, 0) + 1
+                            # Every other member of either group was
+                            # added at the merge that brought it in.
+                            collapsed.add(i)
+                            collapsed.add(p)
                             # Inherit the producer's unresolved state.
                             pb = bound[p]
                             if kind == _KIND_ADDR:
@@ -380,8 +389,9 @@ class WindowScheduler:
             else:
                 heappush(future_heap, (ready_at, i))
 
-            if collapsing:
-                groups[i] = group
+            if collapsing and producer_ok_col[s]:
+                groups[i] = group if group is not None else Group(
+                    i, sig_col[s], leaves_col[s], zeros_col[s])
                 if track_blocks:
                     block_of[i] = block_counter
 
@@ -513,6 +523,7 @@ class WindowScheduler:
                     cycle = next_cycle if next_cycle > cycle \
                         else cycle + 1
 
+        collapse_stats.record_tally(tally)
         collapse_stats.trace_length = n
         collapse_stats.collapsed = len(collapsed)
         if san is not None:

@@ -160,6 +160,19 @@ def find_basic_ivs(program, forest, loop):
     return ivs
 
 
+class _Query:
+    """One top-level :meth:`LoopValues.form` walk: the keys it is
+    evaluating, the forms it computed by cutting a cycle, and how many
+    cuts it has made (a cut, or a read of a form that made one)."""
+
+    __slots__ = ("visiting", "memo", "cuts")
+
+    def __init__(self):
+        self.visiting = set()
+        self.memo = {}
+        self.cuts = 0
+
+
 class LoopValues:
     """Loop-relative symbolic evaluation of register values.
 
@@ -196,26 +209,48 @@ class LoopValues:
 
     # ------------------------------------------------------------------
 
-    def form(self, reg, site, loop, _visiting=None):
+    def form(self, reg, site, loop, _query=None):
         """Form of the value ``reg`` holds when ``site`` executes,
         relative to ``loop``.  Returns ``(kind, stride)``; stride is
         meaningful for ``iv``/``affine`` and may be None (constant but
-        statically unknown)."""
+        statically unknown).
+
+        A value on a loop-carried cycle reads ``unknown`` where the walk
+        comes back to a key it is still evaluating, so the forms along
+        the cycle depend on where the walk entered it.  Only a form
+        whose walk cut no cycle is memoised for good; the others are
+        memoised for the one top-level query (``_query``) and
+        recomputed by the next, so the answer never depends on which
+        site was queried first."""
         key = (reg, site, loop.header)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if _visiting is None:
-            _visiting = set()
-        if key in _visiting:
+        if _query is None:
+            _query = _Query()
+        cached = _query.memo.get(key)
+        if cached is not None:
+            _query.cuts += 1
+            return cached
+        if key in _query.visiting:
+            _query.cuts += 1
             return (UNKNOWN, None)
-        _visiting.add(key)
-        result = self._form_uncached(reg, site, loop, _visiting)
-        _visiting.discard(key)
-        self._cache[key] = result
+        cuts = _query.cuts
+        _query.visiting.add(key)
+        result = self._form_uncached(reg, site, loop, _query)
+        _query.visiting.discard(key)
+        if _query.cuts == cuts:
+            self._cache[key] = result
+        else:
+            _query.memo[key] = result
         return result
 
-    def _form_uncached(self, reg, site, loop, visiting):
+    def def_form(self, d, loop):
+        """Form of the value instruction ``d`` writes, relative to
+        ``loop``: one top-level query, as :meth:`form` makes."""
+        return self._def_form(d, loop, _Query())
+
+    def _form_uncached(self, reg, site, loop, query):
         state = self.reach[site]
         if state is None:
             return (UNKNOWN, None)
@@ -236,9 +271,9 @@ class LoopValues:
             return (IV, iv.step)
         if len(in_body) > 1:
             return (UNKNOWN, None)
-        return self._def_form(in_body[0], loop, visiting)
+        return self._def_form(in_body[0], loop, query)
 
-    def _def_form(self, d, loop, visiting):
+    def _def_form(self, d, loop, query):
         """Form of the value instruction ``d`` writes."""
         ins = self.program.instructions[d]
         op = ins.opcode
@@ -251,28 +286,28 @@ class LoopValues:
         if op is Opcode.MOV:
             if ins.imm is not None:
                 return (INV, 0)
-            return self.form(ins.rs2, d, loop, visiting)
+            return self.form(ins.rs2, d, loop, query)
         if op in _ADD_OPS or op in _SUB_OPS:
             negate = op in _SUB_OPS
-            left = self.form(ins.rs1, d, loop, visiting)
+            left = self.form(ins.rs1, d, loop, query)
             if ins.imm is not None:
                 right = (INV, 0)
             else:
-                right = self.form(ins.rs2, d, loop, visiting)
+                right = self.form(ins.rs2, d, loop, query)
             return combine_sum(left, right, negate)
         if op is Opcode.SLL:
-            base = self.form(ins.rs1, d, loop, visiting)
+            base = self.form(ins.rs1, d, loop, query)
             if ins.imm is not None:
                 return scale_form(base, 1 << ins.imm)
-            amount = self.form(ins.rs2, d, loop, visiting)
+            amount = self.form(ins.rs2, d, loop, query)
             if amount[0] == INV:
                 return scale_form(base, None)
             return (UNKNOWN, None)
         if op in _MUL_OPS:
-            left = self.form(ins.rs1, d, loop, visiting)
+            left = self.form(ins.rs1, d, loop, query)
             if ins.imm is not None:
                 return scale_form(left, ins.imm)
-            right = self.form(ins.rs2, d, loop, visiting)
+            right = self.form(ins.rs2, d, loop, query)
             if right[0] == INV:
                 return scale_form(left, None)
             if left[0] == INV:
@@ -283,9 +318,9 @@ class LoopValues:
         # invariant when every operand is invariant.
         operands = []
         if ins.rs1 >= 0:
-            operands.append(self.form(ins.rs1, d, loop, visiting))
+            operands.append(self.form(ins.rs1, d, loop, query))
         if ins.imm is None and ins.rs2 >= 0:
-            operands.append(self.form(ins.rs2, d, loop, visiting))
+            operands.append(self.form(ins.rs2, d, loop, query))
         if operands and all(f[0] == INV for f in operands):
             return (INV, 0)
         return (UNKNOWN, None)

@@ -190,7 +190,7 @@ class ValueFlowAnalysis(SiteClassification):
         if ins.opcode in _CALL_OPS:
             return ValueSite(i, line, pc, CLASS_UNKNOWN, loop=loop,
                              note="call result")
-        kind, stride = self.values._def_form(i, loop, set())
+        kind, stride = self.values.def_form(i, loop)
         if kind == INV:
             if ins.opcode in _CONST_OPS \
                     or (ins.opcode is Opcode.MOV and ins.imm is not None):

@@ -2,12 +2,14 @@
 (repro.lint.valueflow)."""
 
 from repro.asm import assemble
+from repro.cli import main
 from repro.emu import trace_program
 from repro.lint import (
     RecurrenceAnalysis,
     ValueFlowAnalysis,
     valueflow_cross_check,
 )
+from repro.lint.induction import LOAD, LoopValues
 from repro.lint.valueflow import (
     CLASS_AFFINE,
     CLASS_CONSTANT,
@@ -129,6 +131,55 @@ bump:   add     %o1, 1, %o1
 """)
     call_site = next(s for s in ana.sites if s.note == "call result")
     assert call_site.cls == CLASS_UNKNOWN
+
+
+# A loop-carried add chain that one load feeds: every add's value is
+# load-derived, wherever the walk enters the cycle.
+CYCLE = """
+        .text
+main:   set     cell, %o3
+        mov     0, %o5
+        mov     0, %o0
+loop:   ld      [%o3], %o2
+        add     %o5, 8, %o6
+        add     %o6, 12, %o4
+        add     %o4, 4, %o1
+        add     %o1, %o2, %o5
+        inc     %o0
+        cmp     %o0, 4
+        bl      loop
+        halt
+        .data
+cell:   .word   7
+"""
+CYCLE_ADD_LINES = (7, 8, 9, 10)
+
+
+def test_cycle_forms_do_not_depend_on_query_order():
+    program = assemble(CYCLE)
+    adds = [i for i, ins in enumerate(program.instructions)
+            if ins.line in CYCLE_ADD_LINES]
+    queries = [(program.instructions[d].rs1, d) for d in adds]
+
+    def forms(order):
+        values = LoopValues(program)
+        loop = values.forest.loop_of(adds[0])
+        return {query: values.form(query[0], query[1], loop)
+                for query in order}
+
+    assert forms(queries) == forms(queries[::-1])
+    assert {kind for kind, _stride in forms(queries).values()} == {LOAD}
+
+
+def test_cycle_adds_print_as_load(tmp_path, capsys):
+    source = tmp_path / "cycle.s"
+    source.write_text(CYCLE)
+    assert main(["lint", str(source), "--value"]) == 0
+    rows = [line.split("|") for line in capsys.readouterr().out.split("\n")
+            if line.count("|") == 5]
+    printed = {int(row[1]): row[2].strip() for row in rows
+               if row[1].strip().isdigit()}
+    assert [printed[line] for line in CYCLE_ADD_LINES] == [CLASS_LOAD] * 4
 
 
 def test_cut_indices_loads_plus_predictable():
