@@ -5,7 +5,7 @@ The package is layered bottom-up:
 
 - :mod:`repro.isa`, :mod:`repro.asm`, :mod:`repro.emu` — a SPARC-v8-like
   ISA, assembler and functional emulator (the trace substrate);
-- :mod:`repro.trace` — dynamic traces (columnar), I/O, synthesis;
+- :mod:`repro.trace` — dynamic traces (columnar), I/O, statistics;
 - :mod:`repro.bpred`, :mod:`repro.addrpred`, :mod:`repro.vpred` — branch
   prediction, and load prediction over addresses and loaded values;
 - :mod:`repro.collapse` — dependence-collapsing rules and statistics;

@@ -29,7 +29,7 @@ from ..trace.records import LD, ST
 class DependenceGraph:
     """Explicit dynamic dependence graph of a trace.
 
-    Edges point producer -> consumer; ``edges_of(pos)`` lists producer
+    Edges point producer -> consumer; ``preds[pos]`` lists producer
     positions with their kinds (``"reg"``, ``"cc"``, ``"mem"``,
     ``"data"`` for store data).
 
@@ -98,12 +98,6 @@ class DependenceGraph:
     def __len__(self):
         return len(self.trace)
 
-    def edges_of(self, position):
-        return list(self.preds[position])
-
-    def edge_count(self):
-        return sum(len(plist) for plist in self.preds)
-
     def depths(self):
         """Earliest dataflow completion time per position.
 
@@ -136,42 +130,6 @@ class DependenceGraph:
         """Length of the longest dependence path (completion cycles)."""
         depths = self.depths()
         return max(depths) if depths else 0
-
-    def issue_critical_path(self):
-        """Dataflow lower bound on *issue* cycles
-        (:func:`issue_cycles` of this graph's depths)."""
-        return issue_cycles(self.trace, self.depths())
-
-    def critical_path_members(self):
-        """One longest path, as a list of positions (oldest first)."""
-        depths = self.depths()
-        if not depths:
-            return []
-        position = max(range(len(depths)), key=depths.__getitem__)
-        lat = self.trace.static.lat
-        sidx = self.trace.sidx
-        path = [position]
-        while True:
-            plist = self.preds[position]
-            target = depths[position] - lat[sidx[position]]
-            found = -1
-            for p, _ in plist:
-                if depths[p] == target:
-                    found = p
-                    break
-            if found < 0:
-                break
-            path.append(found)
-            position = found
-        path.reverse()
-        return path
-
-    def dataflow_ipc(self):
-        """Instructions / critical-path cycles: the dataflow limit."""
-        cycles = self.critical_path()
-        if not cycles:
-            return 0.0
-        return len(self.preds) / cycles
 
 
 def issue_cycles(trace, depths):

@@ -135,6 +135,18 @@ def cmd_stats(args):
     return 0
 
 
+def _limit(text):
+    """The ``disasm --limit``: instructions to print, 0 for all."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(
+            "expected 0 (all) or a positive count, got %r" % (text,))
+    return limit
+
+
 def cmd_disasm(args):
     program = get_workload(args.workload).build(scale=args.scale)
     lines = program.disassemble()
@@ -374,7 +386,8 @@ def build_parser():
     p_dis = sub.add_parser("disasm", help="print the assembled kernel")
     p_dis.add_argument("workload")
     p_dis.add_argument("--scale", type=float, default=0.05)
-    p_dis.add_argument("--limit", type=int, default=80)
+    p_dis.add_argument("--limit", type=_limit, default=80,
+                       help="instructions to print (0: all)")
 
     p_sim = sub.add_parser("simulate", help="simulate one configuration")
     p_sim.add_argument("workload", help="workload name or trace file")

@@ -223,9 +223,6 @@ class MachineConfig:
             print_["branch_spec"] = True
         return print_
 
-    def width_label(self):
-        return WIDTH_LABELS.get(self.issue_width, str(self.issue_width))
-
     def __repr__(self):
         return ("MachineConfig(%s: width=%d, window=%d, collapse=%r, "
                 "load_spec=%s, mem_spec=%s)") % (

@@ -18,29 +18,50 @@ Readers include register sources, store data sources, and condition-code
 use.  An instruction writing several resources (e.g. ``addcc`` writes a
 register *and* the condition codes) qualifies only if all its values are
 read by the same single instruction.
+
+The pass is vectorized, without a program-order walk.  A *definition*
+is one write event (register or condition code); its readers are
+exactly the reads whose last writer, found with the same sorted-stream
+binary search the dependence kernel uses (:mod:`repro.analysis.nkernel`),
+is that write.  Grouping reads by matched definition then reduces the
+sole-reader rule to segment arithmetic:
+
+- a definition with no matched read is ignored (value never needed);
+- a definition whose reads name a single distinct reader proposes it;
+- several distinct readers, or liveness past the end of the trace (the
+  resource's final write), disqualify the writer;
+- a writer with several read definitions (e.g. ``addcc``) qualifies
+  only if they agree on the reader.
+
+The scheduler imports this module at load time, so numpy is imported
+inside the functions: a run without node elimination never loads it.
 """
 
 from ..trace.records import ST
 
 _CC = 32
-_NO_READER = -1
-_MULTI = -2
 
 
-class _Definition:
-    """One live value: who wrote it and who has read it so far."""
+def _read_events(soa):
+    """(reader position, resource) for every register/cc/store-data read."""
+    import numpy as np
 
-    __slots__ = ("writer", "reader")
-
-    def __init__(self, writer):
-        self.writer = writer
-        self.reader = _NO_READER      # -1 none, -2 several distinct
-
-    def read_by(self, position):
-        if self.reader == _NO_READER:
-            self.reader = position
-        elif self.reader != position:
-            self.reader = _MULTI
+    n = soa.n
+    pos = np.arange(n, dtype=np.int64)
+    cls = soa.gathered("cls")
+    src1 = soa.gathered("src1")
+    src2 = soa.gathered("src2")
+    datasrc = soa.gathered("datasrc")
+    reads_cc = soa.gathered("reads_cc")
+    store_data = np.where(cls == ST, datasrc, -1)
+    cc = np.where(reads_cc, _CC, -1)
+    readers = []
+    resources = []
+    for column in (src1, src2, store_data, cc):
+        mask = column >= 0
+        readers.append(pos[mask])
+        resources.append(column[mask])
+    return np.concatenate(readers), np.concatenate(resources)
 
 
 def compute_sole_readers(trace):
@@ -49,74 +70,67 @@ def compute_sole_readers(trace):
     -1 means the instruction's value(s) cannot justify elimination:
     no reader at all, more than one distinct reader, readers that differ
     between its written resources, or liveness past the end of the trace.
-    The vectorized pass is :func:`repro.core.nelim.sole_readers`.
     """
-    from .nelim import sole_readers
-    return sole_readers(trace)
+    import numpy as np
 
+    soa = trace.soa()
+    n = soa.n
+    if n == 0:
+        return []
+    pos = np.arange(n, dtype=np.int64)
+    dest = soa.gathered("dest")
+    writes_cc = soa.gathered("writes_cc")
 
-def _walk_sole_readers(trace):
-    """:func:`compute_sole_readers` as one program-order walk over the
-    open definitions: the scalar reference of the vectorized pass."""
-    static = trace.static
-    sidx = trace.sidx
-    dest_col = static.dest
-    src1_col = static.src1
-    src2_col = static.src2
-    datasrc_col = static.datasrc
-    writes_cc_col = static.writes_cc
-    reads_cc_col = static.reads_cc
-    cls_col = static.cls
+    # Write stream sorted by (resource, position): one definition each.
+    wmask = dest >= 0
+    wres = np.concatenate([dest[wmask],
+                           np.full(int(writes_cc.sum()), _CC,
+                                   dtype=np.int64)])
+    wpos = np.concatenate([pos[wmask], pos[writes_cc]])
+    stride = np.int64(n + 1)
+    worder = np.argsort(wres * stride + wpos)
+    wres = wres[worder]
+    wpos = wpos[worder]
+    wkey = wres * stride + wpos
+    if wkey.size == 0:
+        return [-1] * n
 
-    n = len(trace)
-    sole_reader = [-1] * n
-    # combined[pos]: -1 no reader seen yet, -2 conflict, >=0 the reader.
-    combined = {}
-    open_defs = {}                    # resource -> _Definition
+    # Match each read to its definition (last write strictly before it).
+    rpos, rres = _read_events(soa)
+    slot = np.searchsorted(wkey, rres * stride + rpos) - 1
+    matched = slot >= 0
+    slot = np.where(matched, slot, 0)
+    matched &= wres[slot] == rres
+    slot = slot[matched]
+    rpos = rpos[matched]
 
-    def close_definition(resource):
-        definition = open_defs.pop(resource, None)
-        if definition is None:
-            return
-        pos = definition.writer
-        reader = definition.reader
-        if reader == _NO_READER:
-            # An unread value (e.g. the CC side of addcc that nothing
-            # tests) does not make the result "needed elsewhere".
-            return
-        if reader == _MULTI:
-            combined[pos] = _MULTI
-            return
-        previous = combined.get(pos, _NO_READER)
-        if previous == _NO_READER:
-            combined[pos] = reader
-        elif previous != reader:
-            combined[pos] = _MULTI
+    # Distinct readers per definition: min == max iff exactly one.
+    first_reader = np.full(wkey.shape[0], n, dtype=np.int64)
+    last_reader = np.full(wkey.shape[0], -1, dtype=np.int64)
+    np.minimum.at(first_reader, slot, rpos)
+    np.maximum.at(last_reader, slot, rpos)
+    read = last_reader >= 0
+    single = read & (first_reader == last_reader)
 
-    for i in range(n):
-        s = sidx[i]
-        for src in (src1_col[s], src2_col[s]):
-            if src >= 0 and src in open_defs:
-                open_defs[src].read_by(i)
-        if cls_col[s] == ST:
-            data = datasrc_col[s]
-            if data >= 0 and data in open_defs:
-                open_defs[data].read_by(i)
-        if reads_cc_col[s] and _CC in open_defs:
-            open_defs[_CC].read_by(i)
-        dest = dest_col[s]
-        if dest >= 0:
-            close_definition(dest)
-            open_defs[dest] = _Definition(i)
-        if writes_cc_col[s]:
-            close_definition(_CC)
-            open_defs[_CC] = _Definition(i)
+    # The final write of each resource is live past the trace end.
+    final = np.empty(wkey.shape[0], dtype=bool)
+    final[-1] = True
+    final[:-1] = wres[1:] != wres[:-1]
 
-    # Definitions still live at the end of the trace are conservatively
-    # treated as needed (post-trace code might read them).
-    for definition in open_defs.values():
-        combined[definition.writer] = _MULTI
+    # Fold per-writer: unread definitions are ignored, read ones must
+    # agree on the reader, several distinct readers or liveness past the
+    # trace end veto.  A writer has at most one register and one cc
+    # definition, so folding them in two duplicate-free passes suffices.
+    proposed = np.full(n, -1, dtype=np.int64)
+    conflict = np.zeros(n, dtype=bool)
+    for group in (wres != _CC, wres == _CC):
+        mask = single & ~final & group
+        w = wpos[mask]
+        r = first_reader[mask]
+        seen = proposed[w]
+        conflict[w] |= (seen >= 0) & (seen != r)
+        proposed[w] = r
+    conflict[wpos[(read & ~single) | final]] = True
 
-    for pos, reader in combined.items():
-        sole_reader[pos] = reader if reader >= 0 else -1
-    return sole_reader
+    result = np.where(conflict, -1, proposed)
+    return result.tolist()

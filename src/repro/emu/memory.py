@@ -106,19 +106,6 @@ class Memory:
         for i, byte in enumerate(payload):
             self.write_u8(address + i, byte)
 
-    def read_bytes(self, address, count):
-        """Read ``count`` bytes starting at ``address``."""
-        return bytes(self.read_u8(address + i) for i in range(count))
-
     def read_words(self, address, count):
         """Read ``count`` 32-bit words starting at ``address``."""
         return [self.read_u32(address + 4 * i) for i in range(count)]
-
-    def write_words(self, address, values):
-        """Write 32-bit ``values`` starting at ``address``."""
-        for i, value in enumerate(values):
-            self.write_u32(address + 4 * i, value)
-
-    @property
-    def pages_allocated(self):
-        return len(self._pages)

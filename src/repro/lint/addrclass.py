@@ -152,11 +152,7 @@ class AddressClassification(SiteClassification):
             # Absolute address [imm]: invariant by construction.
             return LoadSite(i, line, pc, CLASS_INVARIANT, stride=0,
                             loop=loop)
-        base = self.values.form(ins.rs1, i, loop)
-        if ins.imm is not None or ins.rs2 < 0:
-            offset = (INV, 0)
-        else:
-            offset = self.values.form(ins.rs2, i, loop)
+        base, offset = self.values.address_forms(i, loop)
         kinds = {base[0], offset[0]}
         combined = combine_sum(base, offset, negate=False)
         if combined[0] == LOAD:

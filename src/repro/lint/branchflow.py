@@ -488,15 +488,6 @@ class BranchFlowAnalysis(SiteClassification):
                 floor += 1
         return floor, conditional
 
-    def accuracy_ceiling(self, trace,
-                         table_entries=_PC_TABLE_ENTRIES):
-        """Static ceiling on the combining predictor's accuracy."""
-        floor, conditional = self.misprediction_floor(trace,
-                                                      table_entries)
-        if not conditional:
-            return 1.0
-        return 1.0 - floor / conditional
-
     def summary_rows(self):
         """Rows (index, line, class, trip, period, exit edge, load,
         note) for the CLI ``--branch`` table."""

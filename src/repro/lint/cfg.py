@@ -120,14 +120,6 @@ class ControlFlowGraph:
                     leaders.add(i + 1)
         return tuple(sorted(leaders))
 
-    def basic_blocks(self):
-        """``(start, end)`` half-open index ranges, one per block."""
-        if not self.n:
-            return []
-        starts = list(self.leaders)
-        return [(start, end) for start, end in
-                zip(starts, starts[1:] + [self.n])]
-
     def block_of(self, i):
         """Leader index of the block containing instruction ``i``."""
         block = self.leaders[0]

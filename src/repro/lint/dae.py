@@ -119,8 +119,6 @@ class DAEAnalysis:
         self.recurrence = recurrence
         self.table = recurrence.table
         self._header_bit = 1 << recurrence.cfg.n
-        #: loop header -> (in_state, carried_bits, mem_srcs)
-        self._context = {}
         self.loops = []
         instrs = program.instructions
         for rec in recurrence.loops:
@@ -148,18 +146,10 @@ class DAEAnalysis:
         table = self.table
         dl.loads = frozenset(i for i in dl.body
                              if table.cls[i] == LD)
-        in_state, carried = self.recurrence.body_reaching(rec.loop)
-        if carried is None:
+        ctx = self.context_of(rec)
+        if ctx is None:
             dl.reason = "uncapped chase coverage"
             return dl
-        carried_bits = [frozenset(_bits(carried[r] & ~self._header_bit))
-                        for r in range(_NUM_SLOTS)]
-        mem_srcs = {}
-        for edge in rec.edges:
-            if edge.kind == "mem":
-                mem_srcs.setdefault(edge.dst, set()).add(edge.src)
-        ctx = (in_state, carried_bits, mem_srcs)
-        self._context[header] = ctx
         try:
             cones = {}
             for load in sorted(dl.loads):
@@ -178,7 +168,6 @@ class DAEAnalysis:
                     if p in readers:
                         readers[p].add(i)
         except _Uncapped:
-            del self._context[header]
             dl.reason = "uncapped chase coverage"
             return dl
         dl.cones = cones
@@ -200,6 +189,21 @@ class DAEAnalysis:
         dl.verdict = VERDICT_CLEAN
         self._depth(dl)
         return dl
+
+    def context_of(self, rec):
+        """``(in_state, carried_bits, mem_srcs)`` that the cones of
+        ``rec``'s loop expand over, or None when the reaching-writer
+        analysis does not cover the loop."""
+        in_state, carried = self.recurrence.body_reaching(rec.loop)
+        if carried is None:
+            return None
+        carried_bits = [frozenset(_bits(carried[r] & ~self._header_bit))
+                        for r in range(_NUM_SLOTS)]
+        mem_srcs = {}
+        for edge in rec.edges:
+            if edge.kind == "mem":
+                mem_srcs.setdefault(edge.dst, set()).add(edge.src)
+        return in_state, carried_bits, mem_srcs
 
     def _read_slots(self, node):
         table = self.table
@@ -254,18 +258,6 @@ class DAEAnalysis:
                     if q not in out:
                         work.append(q)
         return out
-
-    def slice_closure(self, dl, nodes):
-        """Public closure operator for property tests: the given nodes
-        plus the value closure of every member's producers.  The access
-        slice of an analyzed loop is a fixed point of this operator."""
-        ctx = self._context[dl.header]
-        members = set(nodes)
-        value_needed = set()
-        for m in members:
-            value_needed |= self._expand(ctx, m, self._read_slots(m))
-        return frozenset(members | self._value_closure(ctx,
-                                                       value_needed))
 
     # -- queue-depth bound ---------------------------------------------
 

@@ -76,10 +76,6 @@ class LintReport:
     def ok(self):
         return not any(f.severity == SEV_ERROR for f in self.findings)
 
-    @property
-    def errors(self):
-        return [f for f in self.findings if f.severity == SEV_ERROR]
-
     def render(self):
         """One line per finding; a summary line when error-free.
 

@@ -245,6 +245,17 @@ class LoopValues:
             _query.memo[key] = result
         return result
 
+    def address_forms(self, i, loop):
+        """``(base, offset)`` forms of load or store ``i``'s address
+        relative to ``loop``: its base register's form, and its offset
+        register's form or ``(INV, 0)`` for an immediate or no offset.
+        ``i`` must address through a base register (``rs1 >= 0``)."""
+        ins = self.program.instructions[i]
+        base = self.form(ins.rs1, i, loop)
+        if ins.imm is not None or ins.rs2 < 0:
+            return base, (INV, 0)
+        return base, self.form(ins.rs2, i, loop)
+
     def def_form(self, d, loop):
         """Form of the value instruction ``d`` writes, relative to
         ``loop``: one top-level query, as :meth:`form` makes."""

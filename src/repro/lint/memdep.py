@@ -419,11 +419,6 @@ class MemDepBound:
     def conflict_count(self):
         return len(self.conflict_pairs)
 
-    @property
-    def resolved_refs(self):
-        return sum(1 for ref in self.loads + self.stores
-                   if ref.form is not None)
-
     def conflicts(self, load_index, store_index):
         return (load_index, store_index) in self.conflict_pairs
 

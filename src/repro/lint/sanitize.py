@@ -81,17 +81,10 @@ class SchedulerSanitizer:
             else {}
         self.violations = []
         self.violation_count = 0
-        #: counters reported by :meth:`summary`
+        #: what the checks covered
         self.checked_instructions = 0
         self.checked_merges = 0
         self.relaxed_arcs = 0
-        self.mem_syncs = 0
-        self.mem_speculations = 0
-        self.mem_violations = 0
-        self.mem_squashes = 0
-        self.value_speculations = 0
-        self.value_squashes = 0
-        self.dae_bypasses = 0
         self.dae_enqueues = 0
         self.dae_pops = 0
         self.branch_resolves = 0
@@ -303,7 +296,6 @@ class SchedulerSanitizer:
         """Consumer ``i`` drops its arc to load ``p`` on a *wrong*
         confident prediction: it may issue on the bad value and must be
         squashed and replayed when ``p``'s verification exposes it."""
-        self.value_speculations += 1
         if self._cls[self._sidx[p]] != LD:
             self._violate(
                 "value speculation of %d reported against position %d, "
@@ -321,7 +313,6 @@ class SchedulerSanitizer:
     def on_value_squash(self, w, p, cycle):
         """Consumer ``w`` is squashed for replay: it issued riding the
         wrong-predicted value of load ``p``, whose verification fired."""
-        self.value_squashes += 1
         if p not in self._value_watch.get(w, ()):
             self._violate(
                 "value squash of %d against load %d it never "
@@ -391,7 +382,6 @@ class SchedulerSanitizer:
 
     def on_mem_sync(self, i, store):
         """Load ``i`` synchronizes (MDST) with an in-flight ``store``."""
-        self.mem_syncs += 1
         if store >= i or not self._entered[store]:
             self._violate(
                 "load %d synchronized with store %d that is not an "
@@ -399,7 +389,6 @@ class SchedulerSanitizer:
 
     def on_mem_speculate(self, load, store, cycle):
         """Load issued before ``store`` (its producer) completed."""
-        self.mem_speculations += 1
         if self._mem_dep.get(load, -1) != store:
             self._violate(
                 "speculation of load %d reported against store %d, but "
@@ -408,7 +397,6 @@ class SchedulerSanitizer:
 
     def on_violation(self, load, store, cycle):
         """A memory-order violation of ``load`` against ``store`` fired."""
-        self.mem_violations += 1
         if self._mem_dep.get(load, -1) != store:
             self._violate(
                 "violation of load %d reported against store %d, but "
@@ -425,7 +413,6 @@ class SchedulerSanitizer:
 
     def on_squash(self, p, cycle):
         """Position ``p`` is squashed for replay after a violation."""
-        self.mem_squashes += 1
         self._unissue(p, "squashed")
 
     def _unissue(self, p, what):
@@ -443,7 +430,6 @@ class SchedulerSanitizer:
     def on_dae_bypass(self, i):
         """Position ``i`` is about to enter the *access* window instead
         of the (full) main window."""
-        self.dae_bypasses += 1
         if self._entered[i]:
             self._violate("position %d bypassed after already entering "
                           "the window" % (i,))
@@ -626,29 +612,6 @@ class SchedulerSanitizer:
                 % (self.violation_count,
                    "" if self.violation_count == 1 else "s",
                    self.trace.name or "<trace>", shown))
-
-    def summary(self):
-        text = ("sanitize: %d instructions, %d merges, %d relaxed arcs "
-                "checked; %d violations"
-                % (self.checked_instructions, self.checked_merges,
-                   self.relaxed_arcs, self.violation_count))
-        if self._mem_realistic:
-            text += ("; memdep: %d syncs, %d speculations, %d squash "
-                     "events replay-verified"
-                     % (self.mem_syncs, self.mem_speculations,
-                        self.mem_violations))
-        if self.value_speculations or self.value_squashes:
-            text += ("; vspec: %d speculations, %d squash/replay pairs "
-                     "verified" % (self.value_speculations,
-                                   self.value_squashes))
-        if self.dae_bypasses or self.dae_enqueues:
-            text += ("; dae: %d bypasses, %d enqueues, %d FIFO pops "
-                     "checked" % (self.dae_bypasses, self.dae_enqueues,
-                                  self.dae_pops))
-        if self.branch_resolves:
-            text += ("; bspec: %d exit-branch fences waived exactly "
-                     "once" % (self.branch_resolves,))
-        return text
 
 
 __all__ = ["SchedulerSanitizer", "SanitizeError"]

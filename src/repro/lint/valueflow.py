@@ -223,11 +223,7 @@ class ValueFlowAnalysis(SiteClassification):
         line = ins.line
         pc = self.program.address_of_index(i)
         if ins.rs1 >= 0:
-            base = self.values.form(ins.rs1, i, loop)
-            if ins.imm is not None or ins.rs2 < 0:
-                offset = (INV, 0)
-            else:
-                offset = self.values.form(ins.rs2, i, loop)
+            base, offset = self.values.address_forms(i, loop)
             if base[0] != INV or offset[0] != INV:
                 return ValueSite(i, line, pc, CLASS_LOAD, loop=loop,
                                  note="address varies in loop")

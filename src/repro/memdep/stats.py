@@ -39,10 +39,6 @@ class MemDepStats(CounterRecord):
         pair = (load_pc, store_pc)
         self.violation_pairs[pair] = self.violation_pairs.get(pair, 0) + 1
 
-    @property
-    def distinct_pairs(self):
-        return len(self.violation_pairs)
-
     def merge(self, other):
         super().merge(other)
         for pair, count in other.violation_pairs.items():

@@ -95,24 +95,6 @@ def issue_distribution(result):
             for count, cycles_at in sorted(distribution.items())}
 
 
-def _count_distribution(result):
-    """:func:`issue_distribution` counted per position: the scalar
-    reference of the vectorized count."""
-    from collections import Counter
-
-    eliminated = result.eliminated_positions
-    total_cycles = max(1, result.cycles)
-    per_cycle = Counter(
-        c for position, c in enumerate(result.issue_cycles)
-        if c >= 0 and position not in eliminated)
-    distribution = Counter(per_cycle.values())
-    idle = total_cycles - sum(distribution.values())
-    if idle > 0:
-        distribution[0] = idle
-    return {count: cycles / total_cycles
-            for count, cycles in sorted(distribution.items())}
-
-
 def mean_speedup(results, baselines):
     """Harmonic-mean speedup of ``results`` over per-trace ``baselines``
     (Figure 3 style).  Baselines are matched by trace name."""

@@ -245,4 +245,7 @@ def load_trace(path, mmap=True):
                 "%s is trace format v1, which is no longer read; "
                 "regenerate it with `repro trace <workload> -o FILE`"
                 % (os.fspath(path),))
-        raise TraceFormatError("bad magic: %r" % (magic,))
+        raise TraceFormatError(
+            "%s is not a repro trace (it starts with %r, not %r); "
+            "write one with `repro trace <workload> -o FILE`"
+            % (os.fspath(path), magic, MAGIC))

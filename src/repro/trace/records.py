@@ -7,13 +7,9 @@ branch direction), while everything derivable from the static instruction
 :class:`StaticTable` indexed by static instruction number.  This keeps a
 multi-hundred-thousand-entry trace small and makes the timing simulator's
 inner loop a series of list lookups.
-
-For tests and synthetic workloads, :class:`TraceBuilder` constructs traces
-directly without going through the assembler/emulator.
 """
 
 from ..isa.opcodes import (
-    CLASS_CODE,
     CLASS_LATENCY,
     COLLAPSIBLE_CONSUMERS,
     COLLAPSIBLE_PRODUCERS,
@@ -181,129 +177,3 @@ class DynTrace:
         """Per-dynamic-instruction operation class list."""
         cls = self.static.cls
         return [cls[s] for s in self.sidx]
-
-    def count_class(self, opclass):
-        """Number of dynamic instructions of the given class."""
-        target = int(opclass)
-        cls = self.static.cls
-        return sum(1 for s in self.sidx if cls[s] == target)
-
-    def cond_branches(self):
-        """Iterate ``(position, taken)`` over conditional branches."""
-        cls = self.static.cls
-        brc = BRC
-        for position, s in enumerate(self.sidx):
-            if cls[s] == brc:
-                yield position, self.taken[position]
-
-
-class TraceBuilder:
-    """Construct synthetic traces directly (each dynamic instruction gets
-    its own static entry, so ``sidx`` is simply 0..N-1 unless ``repeat`` is
-    used).
-
-    This is the workhorse of the unit tests: it lets a test express "a load
-    depending on an add" in two lines without touching the assembler.
-    """
-
-    def __init__(self, name="synthetic"):
-        self.static = StaticTable()
-        self.trace = DynTrace(self.static, name=name)
-
-    # -- helpers -----------------------------------------------------------
-
-    def _sig(self, cls, srcs, imm, imm_zero):
-        if cls == BRC:
-            return "brc"
-        chars = []
-        for reg in srcs:
-            if reg is None:
-                continue
-            chars.append("0" if reg == G0 else "r")
-        if imm:
-            chars.append("0" if imm_zero else "i")
-        return CLASS_CODE[OpClass(cls)] + "".join(chars)
-
-    def _emit(self, cls, dest=-1, src1=-1, src2=-1, datasrc=-1,
-              writes_cc=False, reads_cc=False, imm=False, imm_zero=False,
-              eff_addr=0, taken=False, value=0, pc=None):
-        srcs = [s for s in (src1, src2) if s >= 0]
-        sig = self._sig(cls, srcs, imm, imm_zero)
-        body = sig[len(CLASS_CODE[OpClass(cls)]):]
-        leaves = sum(1 for ch in body if ch != "0")
-        zeros = sum(1 for ch in body if ch == "0")
-        if cls == BRC:
-            leaves = 1
-            zeros = 0
-        index = self.static.add(
-            cls=cls, dest=dest, writes_cc=writes_cc, reads_cc=reads_cc,
-            src1=src1 if src1 != G0 else -1,
-            src2=src2 if src2 != G0 else -1,
-            datasrc=datasrc if datasrc != G0 else -1,
-            sig=sig, leaves=leaves, zeros=zeros,
-            pc=0x1000 + 4 * len(self.static) if pc is None else pc)
-        self.trace.sidx.append(index)
-        self.trace.eff_addr.append(eff_addr)
-        self.trace.taken.append(taken)
-        self.trace.mem_value.append(value)
-        return len(self.trace) - 1
-
-    # -- public emitters -----------------------------------------------
-
-    def alu(self, cls, dest, src1=-1, src2=-1, imm=False, imm_zero=False,
-            writes_cc=False):
-        """Append a computational instruction; returns its trace position."""
-        return self._emit(cls, dest=dest, src1=src1, src2=src2, imm=imm,
-                          imm_zero=imm_zero, writes_cc=writes_cc)
-
-    def add(self, dest, src1=-1, src2=-1, imm=False, writes_cc=False):
-        return self.alu(AR, dest, src1, src2, imm=imm, writes_cc=writes_cc)
-
-    def logic(self, dest, src1=-1, src2=-1, imm=False):
-        return self.alu(LG, dest, src1, src2, imm=imm)
-
-    def shift(self, dest, src1=-1, src2=-1, imm=True):
-        return self.alu(SH, dest, src1, src2, imm=imm)
-
-    def move(self, dest, src=-1, imm=False):
-        if imm:
-            return self._emit(MV, dest=dest, imm=True)
-        return self._emit(MV, dest=dest, src1=src)
-
-    def mul(self, dest, src1, src2=-1, imm=False):
-        return self._emit(MUL, dest=dest, src1=src1, src2=src2, imm=imm)
-
-    def div(self, dest, src1, src2=-1, imm=False):
-        return self._emit(DIV, dest=dest, src1=src1, src2=src2, imm=imm)
-
-    def load(self, dest, addr_reg=-1, addr_reg2=-1, addr=0, imm=False,
-             value=0):
-        return self._emit(LD, dest=dest, src1=addr_reg, src2=addr_reg2,
-                          imm=imm, eff_addr=addr, value=value)
-
-    def store(self, datasrc, addr_reg=-1, addr_reg2=-1, addr=0, imm=False):
-        return self._emit(ST, datasrc=datasrc, src1=addr_reg,
-                          src2=addr_reg2, imm=imm, eff_addr=addr)
-
-    def cmp(self, src1, src2=-1, imm=False):
-        """A compare: arithmetic op writing only the condition codes."""
-        return self._emit(AR, src1=src1, src2=src2, imm=imm, writes_cc=True)
-
-    def branch(self, taken=True):
-        return self._emit(BRC, reads_cc=True, taken=taken)
-
-    def jump(self, src=-1):
-        return self._emit(CTI, src1=src, taken=True)
-
-    def repeat(self, template_position, eff_addr=0, taken=False, value=0):
-        """Re-emit the static instruction behind an earlier trace position
-        (same PC — this is how loop iterations share predictor state)."""
-        sidx = self.trace.sidx[template_position]
-        self.trace.sidx.append(sidx)
-        self.trace.eff_addr.append(eff_addr)
-        self.trace.taken.append(taken)
-        self.trace.mem_value.append(value)
-        return len(self.trace) - 1
-
-    def build(self):
-        return self.trace

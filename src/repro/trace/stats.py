@@ -9,7 +9,6 @@ values").
 
 from collections import Counter
 
-from ..isa.opcodes import OpClass
 from .records import BRC, LD, SH, ST
 
 
@@ -56,15 +55,6 @@ class TraceStats:
         if not self.length:
             return 0.0
         return self.count(SH) / self.length
-
-    def class_mix(self):
-        """Mapping of class name to fraction of the trace."""
-        if not self.length:
-            return {}
-        return {
-            OpClass(cls).name.lower(): count / self.length
-            for cls, count in sorted(self.class_counts.items())
-        }
 
     def summary_row(self):
         """Row used by the Table 1 reproduction."""

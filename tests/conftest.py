@@ -1,5 +1,13 @@
-"""Make tests/ importable as a flat namespace (helpers module) and pin
-hypothesis to deterministic example generation so CI runs are stable.
+"""Make tests/ importable as a flat namespace and pin hypothesis to
+deterministic example generation so CI runs are stable.
+
+The flat namespace holds the code only tests use: ``helpers``
+(handcrafted predictor outcomes, drawn programs), ``synth``
+(``TraceBuilder`` and the synthetic trace generators), ``references``
+(scalar twins of vectorized passes) and ``reference_scheduler`` (the
+cycle-scan machine).  ``test_src_is_read.py`` keeps such code out of
+``src/``: it fails on a function, class or method in ``src/repro`` that
+nothing in ``src/``, ``examples/`` or ``benchmarks/`` reads.
 
 ``--hypothesis-profile=deep`` keeps that determinism and raises the
 example budget of every property test that sets no ``max_examples`` of

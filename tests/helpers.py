@@ -4,17 +4,20 @@ small looping programs for the property tests."""
 
 from hypothesis import strategies as st
 
+from synth import TraceBuilder
+
 from repro.addrpred.runner import LoadPredictionResult
 from repro.bpred.runner import BranchRunResult
 from repro.core import MachineConfig
 from repro.core.scheduler import WindowScheduler
-from repro.trace.records import BRC, LD, TraceBuilder
+from repro.trace.records import BRC, LD
 
 
 def make_branch_result(trace, mispredicted=None):
     """A BranchRunResult with exactly the given mispredicted positions."""
     mispredicted = dict.fromkeys(mispredicted or (), True)
-    conditional = sum(1 for _ in trace.cond_branches())
+    cls = trace.static.cls
+    conditional = sum(1 for s in trace.sidx if cls[s] == BRC)
     return BranchRunResult(mispredicted, conditional,
                            conditional - len(mispredicted), len(trace))
 

@@ -2,13 +2,13 @@
 
 import pytest
 
+from synth import TraceBuilder, pointer_chase_loop, strided_load_loop
+
 from repro.addrpred import (
     LastStrideTable,
     TwoDeltaTable,
     run_address_predictor,
 )
-from repro.trace.records import TraceBuilder
-from repro.trace.synth import pointer_chase_loop, strided_load_loop
 
 
 def feed(table, pc, addresses):
@@ -158,7 +158,6 @@ def test_per_pc_histogram_pointer_chase():
 
 def test_per_pc_relock_bound_holds_on_stride_change():
     """The two-delta theorem: misses <= warmup + 2 * delta changes."""
-    from repro.trace.records import TraceBuilder
 
     builder = TraceBuilder()
     position = builder.load(dest=2, addr_reg=1, addr=0)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from synth import pointer_chase_loop, strided_load_loop
+
 from repro.addrpred import HybridTable, MarkovTable, TwoDeltaTable, \
     run_address_predictor
-from repro.trace.synth import pointer_chase_loop, strided_load_loop
 
 
 def feed(table, pc, addresses):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from synth import TraceBuilder
+
 from repro.bpred import (
     BimodalPredictor,
     BranchRunResult,
@@ -11,7 +13,6 @@ from repro.bpred import (
     PerfectPredictor,
     run_branch_predictor,
 )
-from repro.trace.records import TraceBuilder
 
 
 # ---------------------------------------------------------------- counters

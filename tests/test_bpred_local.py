@@ -1,12 +1,13 @@
 """Local-history and static predictor tests."""
 
+from synth import TraceBuilder
+
 from repro.bpred import (
     BimodalPredictor,
     LocalHistoryPredictor,
     StaticPredictor,
     run_branch_predictor,
 )
-from repro.trace.records import TraceBuilder
 
 
 def test_static_predictors():

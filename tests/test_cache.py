@@ -5,11 +5,12 @@ import os
 
 import pytest
 
+from synth import strided_load_loop
+
 from repro.cache import CACHE_FORMAT_VERSION, DiskCache, code_fingerprint
 from repro.core import paper_config, simulate_trace
 from repro.core.results import SimResult
 from repro.errors import ReproError
-from repro.trace.synth import strided_load_loop
 from repro.workloads import cached_trace
 
 

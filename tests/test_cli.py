@@ -55,6 +55,24 @@ def test_disasm(capsys):
     assert "more instructions" in output
 
 
+def test_disasm_limit_zero_prints_everything(capsys):
+    code, output = run_cli(capsys, "disasm", "go", "--limit", "0")
+    assert code == 0
+    assert "more instructions" not in output
+    code, limited = run_cli(capsys, "disasm", "go", "--limit", "5")
+    assert limited.splitlines()[:5] == output.splitlines()[:5]
+    hidden = int(limited.splitlines()[5].split("(")[1].split()[0])
+    assert len(output.splitlines()) == 5 + hidden
+
+
+def test_disasm_rejects_a_negative_limit(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["disasm", "go", "--limit", "-1"])
+    assert excinfo.value.code == 2
+    assert "argument --limit: expected 0 (all) or a positive count, " \
+        "got '-1'" in capsys.readouterr().err
+
+
 def test_simulate_paper_config(capsys):
     code, output = run_cli(capsys, "simulate", "eqntott",
                            "--config", "D", "--width", "8",

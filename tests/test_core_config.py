@@ -75,12 +75,6 @@ def test_custom_collapse_rules_pass_through():
     assert config.collapse_rules is rules
 
 
-def test_width_labels():
-    assert MachineConfig(2048).width_label() == "2k"
-    assert MachineConfig(8).width_label() == "8"
-    assert MachineConfig(7).width_label() == "7"
-
-
 def test_validation_errors():
     with pytest.raises(ConfigError):
         MachineConfig(0)

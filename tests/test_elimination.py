@@ -1,11 +1,11 @@
 """Node-elimination extension tests (paper Figure 1.f)."""
 
 from helpers import make_branch_result
+from synth import TraceBuilder, random_trace
 
 from repro.collapse import CollapseRules
 from repro.core import MachineConfig, compute_sole_readers
 from repro.core.scheduler import WindowScheduler
-from repro.trace.records import TraceBuilder
 
 PAPER = CollapseRules.paper()
 
@@ -143,7 +143,6 @@ def test_store_keeping_data_register_blocks_elimination():
 
 
 def test_all_instructions_accounted_with_elimination():
-    from repro.trace.synth import random_trace
     trace = random_trace(400, seed=6)
     result = run(trace, width=4)
     assert result.instructions == len(trace)
@@ -153,7 +152,6 @@ def test_all_instructions_accounted_with_elimination():
 
 
 def test_elimination_never_slows_down():
-    from repro.trace.synth import random_trace
     for seed in range(5):
         trace = random_trace(300, seed=seed)
         without = run(trace, width=4, node_elimination=False)

@@ -15,9 +15,9 @@ two scales, plus four edge traces, against every pair:
   explicit ``TwoDeltaTable``;
 - every value-predictor sweep against an explicit default table;
 - sole-reader (node elimination) precomputation
-  (``elimination._walk_sole_readers``);
+  (``references._walk_sole_readers``);
 - the issue-count distribution of a simulated schedule
-  (``means._count_distribution``).
+  (``references._count_distribution``).
 
 The configuration F-J cells simulate once with the reference passes
 handed to the scheduler and once with the default (vectorized) passes;
@@ -25,6 +25,14 @@ the full result payloads must agree.
 """
 
 import pytest
+
+from references import _count_distribution, _walk_sole_readers
+from synth import (
+    TraceBuilder,
+    dependent_chain,
+    independent_stream,
+    strided_load_loop,
+)
 
 from repro.addrpred import TwoDeltaTable
 from repro.addrpred.runner import run_address_predictor
@@ -36,14 +44,8 @@ from repro.analysis.depgraph import (
 from repro.bpred.runner import make_branch_predictor, run_branch_predictor
 from repro.core import simulate_trace
 from repro.core.config import MachineConfig, paper_config
-from repro.core.elimination import _walk_sole_readers, compute_sole_readers
-from repro.metrics.means import _count_distribution, issue_distribution
-from repro.trace.records import TraceBuilder
-from repro.trace.synth import (
-    dependent_chain,
-    independent_stream,
-    strided_load_loop,
-)
+from repro.core.elimination import compute_sole_readers
+from repro.metrics.means import issue_distribution
 from repro.vpred.runner import (
     PREDICTORS,
     make_value_table,

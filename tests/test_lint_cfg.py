@@ -53,10 +53,7 @@ def test_leaders_and_blocks_partition_text():
               "add %g2, 1, %g2\ndone: halt")
     cfg = cfg_of(source)
     assert cfg.leaders == (0, 2, 4)
-    blocks = cfg.basic_blocks()
-    assert blocks == [(0, 2), (2, 4), (4, 5)]
-    assert cfg.block_of(3) == 2
-    assert cfg.block_of(4) == 4
+    assert [cfg.block_of(i) for i in range(5)] == [0, 0, 2, 2, 4]
 
 
 def test_off_end_detection():
@@ -81,5 +78,5 @@ def test_reachability_excludes_code_after_ba():
 def test_empty_text_section():
     cfg = ControlFlowGraph(assemble(".text\n.data\nw: .word 1"))
     assert cfg.n == 0
-    assert cfg.basic_blocks() == []
+    assert cfg.leaders == ()
     assert cfg.off_end_sites() == []

@@ -144,7 +144,6 @@ def test_report_sorted_by_location():
 def test_registered_workloads_lint_clean(name):
     report = lint_workload(name, scale=0.05)
     assert report.ok, report.render()
-    assert not report.errors
     assert report.instructions > 0 and report.blocks > 1
     assert report.analyses["collapse-bound"] is not None
     assert report.analyses["collapse-bound"].static_bound > 0

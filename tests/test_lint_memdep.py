@@ -104,7 +104,7 @@ dst:    .word   0
 """)
     assert len(bound.loads) == 1
     assert len(bound.stores) == 1
-    assert bound.resolved_refs == 2
+    assert all(ref.form is not None for ref in bound.loads + bound.stores)
     assert bound.conflict_count == 0
 
 

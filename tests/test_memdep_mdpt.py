@@ -142,7 +142,7 @@ def test_stats_record_and_distinct_pairs():
     assert stats.violations == 3
     assert stats.squashed == 6
     assert stats.flush_cycles == 3 * FLUSH_PENALTY
-    assert stats.distinct_pairs == 2
+    assert len(stats.violation_pairs) == 2
     assert stats.violation_pairs[(LOAD, STORE)] == 2
 
 
@@ -163,7 +163,7 @@ def test_stats_merge_and_payload_round_trip():
     assert a.violation_pairs[(LOAD, STORE)] == 2
     restored = MemDepStats.from_payload(a.to_payload())
     assert restored.to_payload() == a.to_payload()
-    assert restored.distinct_pairs == a.distinct_pairs
+    assert restored.violation_pairs == a.violation_pairs
 
 
 def _unbounded():

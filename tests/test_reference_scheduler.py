@@ -16,10 +16,10 @@ from helpers import loop_traces, prediction_pass, programs, sim
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_scheduler import reference_issue_cycles
+from synth import random_trace
 
 from repro.core import paper_config
 from repro.core.simulator import branch_outcomes, load_outcomes, simulate_trace
-from repro.trace.synth import random_trace
 from repro.workloads.registry import WORKLOADS, cached_trace
 
 SCALE = 0.01

@@ -6,9 +6,13 @@ kept full, latencies 1 (ALU) / 2 (load, mul) / 12 (div).
 """
 
 from helpers import sim
+from synth import (
+    TraceBuilder,
+    dependent_chain,
+    independent_stream,
+    random_trace,
+)
 
-from repro.trace.records import TraceBuilder
-from repro.trace.synth import dependent_chain, independent_stream
 
 
 def test_empty_trace():
@@ -165,7 +169,6 @@ def test_speedup_requires_same_trace():
 
 
 def test_all_instructions_issue_exactly_once():
-    from repro.trace.synth import random_trace
     trace = random_trace(400, seed=2)
     result = sim(trace, width=4)
     assert result.instructions == len(trace)

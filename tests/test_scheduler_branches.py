@@ -1,8 +1,8 @@
 """Branch handling in the timing model."""
 
 from helpers import sim
+from synth import TraceBuilder
 
-from repro.trace.records import TraceBuilder
 
 
 def cmp_branch_adds(taken=True):

@@ -2,9 +2,9 @@
 distances, signature tables and rule ablations."""
 
 from helpers import sim
+from synth import TraceBuilder, random_trace
 
 from repro.collapse import CollapseRules
-from repro.trace.records import TraceBuilder
 
 PAPER = CollapseRules.paper()
 
@@ -212,7 +212,6 @@ def test_one_producer_can_collapse_into_many_consumers():
 
 
 def test_collapse_does_not_change_instruction_count():
-    from repro.trace.synth import random_trace
     trace = random_trace(300, seed=4)
     base = sim(trace, width=4)
     collapsed = sim(trace, width=4, collapse=PAPER)

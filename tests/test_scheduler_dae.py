@@ -7,9 +7,9 @@ from repro.core import MachineConfig
 from repro.core.scheduler import WindowScheduler
 from repro.lint import DAEPlan, static_signature
 from repro.lint.sanitize import SchedulerSanitizer
-from repro.trace.records import TraceBuilder
 
 from .helpers import make_branch_result
+from synth import TraceBuilder
 
 # The synthetic loop (static indices):
 #   0: add  r1 <- imm          (init, pre-loop)

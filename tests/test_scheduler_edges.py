@@ -1,11 +1,14 @@
 """Scheduler edge cases: extreme widths, tiny traces, odd shapes."""
 
 from helpers import sim
+from synth import (
+    TraceBuilder,
+    dependent_chain,
+    independent_stream,
+    random_trace,
+)
 
 from repro.collapse import CollapseRules
-from repro.trace.records import TraceBuilder
-from repro.trace.synth import dependent_chain, independent_stream, \
-    random_trace
 
 PAPER = CollapseRules.paper()
 

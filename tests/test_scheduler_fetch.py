@@ -1,11 +1,10 @@
 """Fetch-model ablation tests: taken-branch fetch breaks."""
 
 from helpers import make_branch_result
+from synth import TraceBuilder, independent_stream, random_trace
 
 from repro.core import MachineConfig
 from repro.core.scheduler import WindowScheduler
-from repro.trace.records import TraceBuilder
-from repro.trace.synth import independent_stream, random_trace
 
 
 def run(trace, width=8, window=None, fetch_break=True):

@@ -5,8 +5,8 @@ each load category and its timing effect is pinned down exactly.
 """
 
 from helpers import make_load_prediction, sim
+from synth import TraceBuilder, random_trace
 
-from repro.trace.records import TraceBuilder
 
 
 def slow_address_load():
@@ -100,7 +100,6 @@ def test_speculated_load_still_respects_memory_dependence():
 
 def test_load_categories_partition_all_loads():
     from repro.core import paper_config, simulate_trace
-    from repro.trace.synth import random_trace
     trace = random_trace(500, seed=8)
     result = simulate_trace(trace, paper_config("D", 8))
     loads = sum(1 for s in trace.sidx if trace.static.cls[s] == 4)

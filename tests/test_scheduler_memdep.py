@@ -7,12 +7,12 @@ promotion into the MDPT, and MDST-style synchronization once promoted.
 """
 
 from helpers import make_branch_result
+from synth import TraceBuilder
 
 from repro.collapse import CollapseRules
 from repro.core import MachineConfig, WindowScheduler
 from repro.core.simulator import make_sanitizer
 from repro.memdep import FLUSH_PENALTY, PROMOTE_THRESHOLD
-from repro.trace.records import TraceBuilder
 
 WORD = 0x100
 
@@ -186,7 +186,7 @@ def test_repeated_violations_promote_into_mdpt():
     assert stats.synchronized >= 8 - PROMOTE_THRESHOLD - 1
     assert stats.violations + stats.synchronized <= 8
     assert stats.false_syncs == 0
-    assert stats.distinct_pairs == 1
+    assert len(stats.violation_pairs) == 1
     # Synchronization removes later squashes entirely.
     assert stats.squashed >= stats.violations
 

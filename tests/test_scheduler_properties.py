@@ -7,13 +7,13 @@ conservation of instruction counts.
 """
 
 from helpers import sim
+from synth import random_trace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.collapse import CollapseRules
 from repro.core import paper_config, simulate_many
-from repro.trace.synth import random_trace
 
 PAPER = CollapseRules.paper()
 

@@ -10,12 +10,12 @@ suite — any dependence-tracking bug in the scheduler breaks them.
 from collections import Counter
 
 from helpers import make_load_prediction, sim
+from synth import random_trace
 
 from repro.analysis import DependenceGraph
 from repro.collapse import CollapseRules
 from repro.core import branch_outcomes
 from repro.trace.records import LD
-from repro.trace.synth import random_trace
 from repro.workloads import cached_trace
 
 PAPER = CollapseRules.paper()

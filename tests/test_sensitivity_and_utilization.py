@@ -3,11 +3,11 @@
 import pytest
 
 from helpers import sim
+from synth import TraceBuilder, dependent_chain, independent_stream
 
 from repro.errors import ReproError
 from repro.experiments.sensitivity import max_drift, scale_sensitivity
 from repro.metrics import issue_distribution
-from repro.trace.synth import dependent_chain, independent_stream
 
 
 def test_issue_distribution_full_width():
@@ -23,7 +23,6 @@ def test_issue_distribution_serial():
 
 
 def test_issue_distribution_counts_idle_cycles():
-    from repro.trace.records import TraceBuilder
     builder = TraceBuilder()
     builder.move(dest=2, imm=True)
     builder.div(dest=1, src1=2, imm=True)   # 12-cycle gap
@@ -49,7 +48,6 @@ def test_issue_distribution_excludes_eliminated_instructions():
     from repro.collapse import CollapseRules
     from repro.core import MachineConfig
     from repro.core.scheduler import WindowScheduler
-    from repro.trace.records import TraceBuilder
     builder = TraceBuilder()
     builder.add(dest=1, src1=9, imm=True)       # 0: eliminable
     builder.add(dest=2, src1=1, imm=True)       # 1: collapses 0
@@ -70,7 +68,6 @@ def test_issue_distribution_excludes_eliminated_instructions():
 
 
 def test_issue_distribution_idle_bucket_in_sorted_position():
-    from repro.trace.records import TraceBuilder
     builder = TraceBuilder()
     builder.move(dest=2, imm=True)
     builder.div(dest=1, src1=2, imm=True)       # 12-cycle gap

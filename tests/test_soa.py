@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from synth import random_trace
+
 from repro.analysis.depgraph import DependenceGraph
 from repro.trace.soa import (
     DYN_COLUMNS,
@@ -10,7 +12,6 @@ from repro.trace.soa import (
     TRACE_DTYPES,
     trace_arrays,
 )
-from repro.trace.synth import random_trace
 
 
 def test_schema_covers_every_column():

@@ -2,9 +2,10 @@
 
 import pytest
 
+from synth import TraceBuilder, random_trace, strided_load_loop
+
 from repro.errors import TraceFormatError
 from repro.trace.io import MAGIC, load_trace, save_trace
-from repro.trace.synth import random_trace, strided_load_loop
 
 
 def test_round_trip_preserves_everything(tmp_path):
@@ -41,8 +42,12 @@ def test_round_trip_simulates_identically(tmp_path):
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTATRACE")
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(TraceFormatError) as excinfo:
         load_trace(path)
+    message = str(excinfo.value)
+    assert message.startswith("%s is not a repro trace" % (path,))
+    assert "b'NOTATRAC'" in message
+    assert "`repro trace <workload> -o FILE`" in message
 
 
 def test_truncated_file_rejected(tmp_path):
@@ -148,7 +153,6 @@ def test_format_docstring_matches_bytes(tmp_path):
 
 
 def test_empty_trace_round_trip(tmp_path):
-    from repro.trace.records import TraceBuilder
     trace = TraceBuilder(name="empty").build()
     path = tmp_path / "empty.bin"
     save_trace(trace, path)

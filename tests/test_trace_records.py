@@ -1,11 +1,10 @@
 """Trace container and builder tests."""
 
+from synth import TraceBuilder
+
 from repro.asm import assemble
 from repro.emu import trace_program
-from repro.trace.records import (
-    AR, BRC, LD, MV, ST,
-    StaticTable, TraceBuilder,
-)
+from repro.trace.records import AR, BRC, LD, ST, StaticTable
 
 
 def test_static_table_from_program_classes():
@@ -105,17 +104,6 @@ def test_builder_repeat_shares_static_entry():
     assert len(trace.static) == 1
     assert trace.sidx == [0, 0, 0]
     assert trace.eff_addr == [0x10, 0x20, 0x30]
-
-
-def test_count_class_and_cond_branches():
-    builder = TraceBuilder()
-    builder.cmp(src1=1, imm=True)
-    builder.branch(taken=False)
-    builder.move(dest=1, imm=True)
-    trace = builder.build()
-    assert trace.count_class(BRC) == 1
-    assert trace.count_class(MV) == 1
-    assert list(trace.cond_branches()) == [(1, False)]
 
 
 def test_trace_from_emulated_loop_uses_shared_static_entries():

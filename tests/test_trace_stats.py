@@ -1,6 +1,8 @@
 """TraceStats and signature-mix tests."""
 
-from repro.trace.records import AR, BRC, LD, TraceBuilder
+from synth import TraceBuilder
+
+from repro.trace.records import AR, BRC, LD
 from repro.trace.stats import TraceStats, signature_mix
 
 
@@ -33,16 +35,10 @@ def test_fractions():
     assert abs(stats.shift_fraction - 0.1) < 1e-12
 
 
-def test_class_mix_sums_to_one():
-    stats = TraceStats(build_mixed())
-    assert abs(sum(stats.class_mix().values()) - 1.0) < 1e-12
-
-
 def test_empty_trace_safe():
     stats = TraceStats(TraceBuilder(name="empty").build())
     assert stats.length == 0
     assert stats.cond_branch_fraction == 0.0
-    assert stats.class_mix() == {}
 
 
 def test_summary_row_fields():

@@ -1,7 +1,6 @@
 """Structural checks on the synthetic trace generators."""
 
-from repro.trace.records import AR, LD, MV
-from repro.trace.synth import (
+from synth import (
     collapsible_pairs,
     dependent_chain,
     independent_stream,
@@ -9,6 +8,8 @@ from repro.trace.synth import (
     random_trace,
     strided_load_loop,
 )
+
+from repro.trace.records import LD, MV
 
 
 def test_dependent_chain_length_and_structure():

@@ -2,9 +2,10 @@
 
 import pytest
 
+from synth import pointer_chase_loop, strided_load_loop
+
 from repro.errors import ReproError
 from repro.trace import trace_concat, trace_slice, truncate
-from repro.trace.synth import strided_load_loop
 
 
 def test_slice_basic():
@@ -73,7 +74,6 @@ def test_repeated_trace_improves_correlation_prediction():
     """Concatenating a trace with itself is how the Markov predictor
     tests repeated traversals."""
     from repro.addrpred import MarkovTable, run_address_predictor
-    from repro.trace.synth import pointer_chase_loop
     chase = pointer_chase_loop(100, seed=4)
     doubled = trace_concat([chase, trace_slice(chase, 0)], name="x2")
     single = run_address_predictor(chase, MarkovTable())

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synth import random_trace
+
 from repro.errors import TraceFormatError
 from repro.trace.io import MAGIC, load_trace, save_trace
 from repro.trace.records import AR, BRC, LD, ST, DynTrace, StaticTable
-from repro.trace.synth import random_trace
 
 _I64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
 _SIG = st.text(st.characters(max_codepoint=0x2FF), max_size=6)

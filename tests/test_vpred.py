@@ -3,11 +3,11 @@
 import pytest
 
 from helpers import make_branch_result
+from synth import TraceBuilder, random_trace
 
 from repro.core import MachineConfig
 from repro.core.scheduler import WindowScheduler
 from repro.core.simulator import simulate_trace, value_outcomes
-from repro.trace.records import TraceBuilder
 from repro.vpred import LastValueTable, run_value_predictor
 
 
@@ -140,7 +140,6 @@ def test_scheduler_requires_value_prediction_when_enabled():
 
 
 def test_value_spec_never_slows():
-    from repro.trace.synth import random_trace
     from repro.core import branch_outcomes
     for seed in range(4):
         trace = random_trace(300, seed=seed)
