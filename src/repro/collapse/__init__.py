@@ -1,6 +1,6 @@
 """Data-dependence collapsing: rules, expression groups and statistics."""
 
-from .classify import Group, merge_category
+from .classify import ShapeTable, merge_verdict
 from .rules import CollapseRules
 from .stats import (
     CAT_0OP,
@@ -12,7 +12,7 @@ from .stats import (
 )
 
 __all__ = [
-    "Group", "merge_category",
+    "ShapeTable", "merge_verdict",
     "CollapseRules",
     "CAT_0OP", "CAT_3_1", "CAT_4_1",
     "CollapseStats", "DISTANCE_BUCKETS", "distance_bucket",

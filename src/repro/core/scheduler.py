@@ -43,7 +43,7 @@ configuration tractable in pure Python.
 import heapq
 from types import SimpleNamespace
 
-from ..collapse.classify import Group
+from ..collapse.classify import ShapeTable
 from ..collapse.stats import CollapseStats
 from ..trace.records import BRC, CTI, LD, ST
 from .components import _KIND_ADDR, _KIND_OTHER, build_components, hook
@@ -128,9 +128,6 @@ class WindowScheduler:
         datasrc_col = static.datasrc
         writes_cc_col = static.writes_cc
         reads_cc_col = static.reads_cc
-        sig_col = static.sig
-        leaves_col = static.leaves
-        zeros_col = static.zeros
         producer_ok_col = static.producer_ok
         consumer_ok_col = static.consumer_ok
 
@@ -148,6 +145,9 @@ class WindowScheduler:
         # Rule checks run only when the rules impose them: the paper's
         # rules merge at any distance and across basic blocks.
         consecutive_only = collapsing and not rules.allow_nonconsecutive
+        if collapsing:
+            shapes = ShapeTable(rules, static)
+            single, merge_groups = shapes.single, shapes.merge
         track_blocks = collapsing and not rules.allow_cross_block
         collapse_stats = CollapseStats()
         load_stats = LoadStats()
@@ -166,8 +166,8 @@ class WindowScheduler:
         pend = {}               # pos -> set of unissued producer positions
         bound = [0] * n         # latest completion among resolved producers
         consumers = {}          # producer pos -> consumer positions
-        # pos -> collapse Group of an unissued collapsible producer,
-        # collapsing only
+        # pos -> (shape, positions) group of an unissued collapsible
+        # producer, collapsing only
         groups = {} if collapsing else None
         collapsed = set()       # positions that took part in a collapse
         tally = {}              # (category, distance, sigs) -> merges
@@ -286,14 +286,15 @@ class WindowScheduler:
                             and block_of.get(p) != block_counter:
                         legal = False
                     if legal:
-                        if group is None:
-                            group = Group(i, sig_col[s], leaves_col[s],
-                                          zeros_col[s])
-                        category = group.try_merge(pgroup, uses, rules)
-                        if category is not None:
+                        merge = merge_groups(
+                            group if group is not None else (single[s], (i,)),
+                            pgroup, uses)
+                        if merge is not None:
+                            group, category = merge
                             if san is not None:
-                                san.on_collapse(i, p, kind, group)
-                            key = (category, distance, tuple(group.sigs))
+                                san.on_collapse(i, p, kind,
+                                                *shapes.counts(group))
+                            key = (category, distance, shapes.sigs[group[0]])
                             tally[key] = tally.get(key, 0) + 1
                             # Every other member of either group was
                             # added at the merge that brought it in.
@@ -390,8 +391,7 @@ class WindowScheduler:
                 heappush(future_heap, (ready_at, i))
 
             if collapsing and producer_ok_col[s]:
-                groups[i] = group if group is not None else Group(
-                    i, sig_col[s], leaves_col[s], zeros_col[s])
+                groups[i] = group if group is not None else (single[s], (i,))
                 if track_blocks:
                     block_of[i] = block_counter
 

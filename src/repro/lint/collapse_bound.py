@@ -20,8 +20,9 @@ execution of ``s``; summing ``ub`` over a trace bounds the dynamic
 produce.  The cross-check ``static bound >= dynamic events`` is wired
 into ``repro lint --cross-check`` and the test suite.
 
-The per-category breakdown uses :func:`merge_category` on *fresh*
-(single-instruction) producer/consumer groups.  It is a diagnostic
+The per-category breakdown merges *fresh* (single-instruction)
+producer/consumer shapes through the scheduler's own
+:class:`~repro.collapse.classify.ShapeTable`.  It is a diagnostic
 profile of which signature pairs the rules admit and in which category
 a first merge would land — grown groups can shift category (a pair
 classified 3-1 can become 4-1 once the producer has itself absorbed a
@@ -30,7 +31,7 @@ member), so only the total is a guaranteed bound.
 
 from collections import Counter
 
-from ..collapse.classify import Group, merge_category
+from ..collapse.classify import ShapeTable
 from ..collapse.rules import CollapseRules
 from .cfg import ControlFlowGraph
 from .findings import CheckResult
@@ -126,6 +127,8 @@ class StaticCollapseBound:
         rules = self.rules
         cap = rules.max_group - 1 + (1 if rules.zero_detection else 0)
         producer_mask = self._producer_mask
+        shapes = ShapeTable(rules, table)
+        single = shapes.single
         for s in range(len(table)):
             if not table.consumer_ok[s]:
                 continue
@@ -139,8 +142,6 @@ class StaticCollapseBound:
                 # satisfy the device limit.
                 continue
             arcs = 0
-            consumer = Group(s, table.sig[s], table.leaves[s],
-                             table.zeros[s])
             for slot, uses in self._operand_slots(s):
                 writers = state[slot] & producer_mask
                 if not writers:
@@ -151,12 +152,9 @@ class StaticCollapseBound:
                     low = mask & -mask
                     w = low.bit_length() - 1
                     mask ^= low
-                    producer = Group(w, table.sig[w], table.leaves[w],
-                                     table.zeros[w])
-                    category = merge_category(consumer, producer, uses,
-                                              rules)
-                    if category is not None:
-                        self.pair_categories[category] += 1
+                    merged = shapes.merge_shapes(single[s], single[w], uses)
+                    if merged is not None:
+                        self.pair_categories[merged[1]] += 1
                         self.pair_signatures[
                             (table.sig[w], table.sig[s])] += 1
             self.arc_count[s] = arcs

@@ -220,9 +220,11 @@ class SchedulerSanitizer:
             self._fence_pos = i
             self._fence_issue = None
 
-    def on_collapse(self, i, p, kind, group):
+    def on_collapse(self, i, p, kind, size, leaves, raw_leaves):
         """The scheduler merged producer ``p`` into consumer ``i``'s
-        dependence expression; ``i`` inherits ``p``'s own producers."""
+        dependence expression; ``i`` inherits ``p``'s own producers.
+        The merged group has ``size`` members and ``leaves`` zero-free
+        (``raw_leaves`` raw) operands."""
         self.checked_merges += 1
         rules = self.config.collapse_rules
         arc = (p, kind)
@@ -241,33 +243,31 @@ class SchedulerSanitizer:
         if rules is None:
             self._violate("collapse event with collapsing disabled")
             return
-        size = group.size
         limit = rules.max_group
         if rules.zero_detection:
             if size > limit + 1:
                 self._violate(
                     "merged group at %d has %d members (max %d, +1 with "
                     "zero detection)" % (i, size, limit))
-            elif size > limit and not (group.raw_leaves > group.leaves
-                                       and group.leaves
-                                       <= rules.max_leaves):
+            elif size > limit and not (raw_leaves > leaves
+                                       and leaves <= rules.max_leaves):
                 self._violate(
                     "oversized group at %d not justified by zero "
                     "detection" % (i,))
-            if group.leaves > rules.max_leaves:
+            if leaves > rules.max_leaves:
                 self._violate(
                     "merged group at %d has %d operands (max_leaves %d)"
-                    % (i, group.leaves, rules.max_leaves))
+                    % (i, leaves, rules.max_leaves))
         else:
             if size > limit:
                 self._violate(
                     "merged group at %d has %d members (max %d)"
                     % (i, size, limit))
-            if group.raw_leaves > rules.max_leaves:
+            if raw_leaves > rules.max_leaves:
                 self._violate(
                     "merged group at %d has %d raw operands "
                     "(max_leaves %d, no zero detection)"
-                    % (i, group.raw_leaves, rules.max_leaves))
+                    % (i, raw_leaves, rules.max_leaves))
 
     def on_load_spec(self, i):
         """Load ``i`` uses a (correct or ideal) predicted address: its

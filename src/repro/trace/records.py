@@ -170,10 +170,3 @@ class DynTrace:
         """
         from .soa import trace_arrays
         return trace_arrays(self)
-
-    # Convenience views used by tests and reporting -----------------------
-
-    def classes(self):
-        """Per-dynamic-instruction operation class list."""
-        cls = self.static.cls
-        return [cls[s] for s in self.sidx]

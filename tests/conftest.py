@@ -13,8 +13,8 @@ nothing in ``src/``, ``examples/`` or ``benchmarks/`` reads.
 example budget of every property test that sets no ``max_examples`` of
 its own (CI runs ``test_scheduler_recovery.py``,
 ``test_mdpt_replay_producers.py``, ``test_memdep_mdpt.py``,
-``test_reference_scheduler.py``, ``test_collapse_tally.py`` and
-``test_lint_properties.py`` this way).
+``test_reference_scheduler.py``, ``test_collapse_tally.py``,
+``test_collapse_group.py`` and ``test_lint_properties.py`` this way).
 
 ``--regen-golden`` rewrites the golden files under ``tests/golden/``
 from the current code instead of asserting them (see

@@ -10,9 +10,14 @@ production pass computes another way; nothing in ``src/`` calls them.
   ``repro.metrics.means.issue_distribution`` (same test);
 - :func:`critical_path_members` — one longest path of a
   ``DependenceGraph``, walked back from its deepest position
-  (``test_analysis.py``).
+  (``test_analysis.py``);
+- :class:`Group` and :func:`merge_category` — a mutable expression group
+  merged one producer at a time, with the legality rule spelled out
+  twice (a merge and a pure check), behind
+  ``repro.collapse.classify.ShapeTable`` (``test_collapse_group.py``).
 """
 
+from repro.collapse.stats import CAT_0OP, CAT_3_1, CAT_4_1
 from repro.trace.records import ST
 
 _CC = 32
@@ -146,3 +151,85 @@ def critical_path_members(graph):
         position = found
     path.reverse()
     return path
+
+
+class Group:
+    """One dependence-expression group: member positions and their
+    signatures in program order, and the zero-free (``leaves``) and raw
+    (``raw_leaves``) operand counts."""
+
+    __slots__ = ("positions", "sigs", "leaves", "raw_leaves")
+
+    def __init__(self, position, sig, leaves, zeros):
+        self.positions = [position]
+        self.sigs = [sig]
+        self.leaves = leaves
+        self.raw_leaves = leaves + zeros
+
+    @property
+    def size(self):
+        return len(self.positions)
+
+    def merged_counts(self, producer, uses):
+        """Operand counts if ``producer`` were substituted ``uses``
+        times."""
+        leaves = self.leaves - uses + uses * producer.leaves
+        raw = self.raw_leaves - uses + uses * producer.raw_leaves
+        return leaves, raw
+
+    def try_merge(self, producer, uses, rules):
+        """Merge ``producer`` into this group: the category, or ``None``
+        (group unchanged) when the rules reject it."""
+        positions = self.positions
+        producer_positions = producer.positions
+        size = len(positions) + len(producer_positions)
+        leaves, raw = self.merged_counts(producer, uses)
+        if size > rules.max_group:
+            if not (rules.zero_detection and size == rules.max_group + 1
+                    and raw > leaves and leaves <= rules.max_leaves):
+                return None
+            needed_zero_detection = True
+        elif rules.zero_detection:
+            if leaves > rules.max_leaves:
+                return None
+            needed_zero_detection = raw > rules.max_leaves
+        else:
+            if raw > rules.max_leaves:
+                return None
+            needed_zero_detection = False
+        if producer_positions[-1] < positions[0]:
+            self.positions = producer_positions + positions
+            self.sigs = producer.sigs + self.sigs
+        else:
+            merged = dict(zip(positions, self.sigs))
+            merged.update(zip(producer_positions, producer.sigs))
+            order = sorted(merged)
+            self.positions = order
+            self.sigs = [merged[position] for position in order]
+        self.leaves = leaves
+        self.raw_leaves = raw
+        if needed_zero_detection:
+            return CAT_0OP
+        if leaves <= 3:
+            return CAT_3_1
+        return CAT_4_1
+
+
+def merge_category(consumer_group, producer_group, uses, rules):
+    """:meth:`Group.try_merge`'s verdict without mutating either group."""
+    size = consumer_group.size + producer_group.size
+    leaves, raw = consumer_group.merged_counts(producer_group, uses)
+    if size > rules.max_group:
+        if (rules.zero_detection and size == rules.max_group + 1
+                and raw > leaves and leaves <= rules.max_leaves):
+            return CAT_0OP
+        return None
+    if rules.zero_detection:
+        if leaves > rules.max_leaves:
+            return None
+        if raw > rules.max_leaves:
+            return CAT_0OP
+    else:
+        if raw > rules.max_leaves:
+            return None
+    return CAT_3_1 if leaves <= 3 else CAT_4_1

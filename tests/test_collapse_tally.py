@@ -4,10 +4,10 @@
 tally keyed ``(category, distance, signatures)`` and folds it into its
 ``CollapseStats`` once, when it returns (``CollapseStats.record_tally``);
 each merge adds only the consumer and the producer to the set of
-positions that took part.  Here every successful ``Group.try_merge``
-is recorded as it happens: its category, the distance between the
-consumer's and the producer's last members read before the merge, and
-the merged group's signatures and positions.  A reference
+positions that took part.  Here every successful merge is recorded
+where it happens, in ``ShapeTable.merge``: its category, the distance
+between the consumer's and the producer's last members read before the
+merge, and the merged group's signatures and positions.  A reference
 ``CollapseStats`` with one ``record_event`` per recorded merge, and the
 union of the recorded positions, must equal the run's statistics, key
 order included.
@@ -26,7 +26,7 @@ from helpers import make_branch_result, prediction_pass, programs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collapse import CollapseRules, CollapseStats, Group
+from repro.collapse import CollapseRules, CollapseStats, ShapeTable
 from repro.core.config import paper_config
 from repro.core.simulator import branch_outcomes, load_outcomes, simulate_trace
 from repro.workloads.registry import SUITE, cached_trace
@@ -56,20 +56,21 @@ def machine(label, width):
 
 @contextmanager
 def recorded_merges():
-    """Patch ``Group.try_merge`` to record every merge it performs as
+    """Patch ``ShapeTable.merge`` to record every merge it performs as
     ``(category, distance, sigs, positions)``; yields the list."""
     merges = []
-    try_merge = Group.try_merge
+    merge = ShapeTable.merge
 
-    def recording(self, producer, uses, rules):
-        distance = self.positions[-1] - producer.positions[-1]
-        category = try_merge(self, producer, uses, rules)
-        if category is not None:
-            merges.append((category, distance, tuple(self.sigs),
-                           tuple(self.positions)))
-        return category
+    def recording(self, consumer, producer, uses):
+        distance = consumer[1][-1] - producer[1][-1]
+        merged = merge(self, consumer, producer, uses)
+        if merged is not None:
+            (shape, positions), category = merged
+            merges.append((category, distance, self.sigs[shape],
+                           positions))
+        return merged
 
-    with mock.patch.object(Group, "try_merge", recording):
+    with mock.patch.object(ShapeTable, "merge", recording):
         yield merges
 
 

@@ -1,14 +1,19 @@
 """The lint analysis chain (program -> CFG -> loop forest -> LoopValues
 -> address classes -> value flow -> recurrence -> DAE, with branch flow
 and memdep beside it): one ``lint_program`` builds each shared program
-fact once, and every pass survives small edge-case programs."""
+fact once, and every pass survives small edge-case programs, which
+every machine then simulates under the sanitizer."""
 
 from unittest import mock
 
 import pytest
 
 from repro.asm import assemble
+from repro.core.config import config_letters, paper_config
+from repro.core.simulator import simulate_trace
+from repro.emu.tracer import trace_program
 from repro.lint import lint_passes, lint_program, lint_source
+from repro.lint.collapse_bound import collapse_cross_check
 from repro.lint.memdep import _Resolver
 from repro.trace.records import StaticTable
 
@@ -95,11 +100,14 @@ main:   halt
 """
 
 
-@pytest.mark.parametrize("source", [
+EDGE_CASES = pytest.mark.parametrize("source", [
     NO_BRANCHES, LOOP_WITHOUT_LOADS, IRREDUCIBLE_LOOP, CALL_IN_LOOP,
     HALT_ONLY,
 ], ids=["no-branches", "loop-without-loads", "irreducible-loop",
         "call-in-loop", "halt-only"])
+
+
+@EDGE_CASES
 def test_edge_case_programs_render_every_table_and_plan(source):
     report = lint_source(source, target="<edge>")
     assert not any(f.check == "assemble" for f in report.findings)
@@ -111,3 +119,28 @@ def test_edge_case_programs_render_every_table_and_plan(source):
             assert all(isinstance(line, str) for line in lines)
     report.analyses["dae"].plan()
     report.analyses["branchflow"].plan()
+
+
+@EDGE_CASES
+def test_edge_case_programs_simulate_on_every_letter(source):
+    """Every letter at widths 8 and 2048, sanitized, with the DAE and
+    branch plans of the program's own lint report, returns a result;
+    ``halt`` alone traces no instruction and takes no cycle."""
+    program = assemble(source)
+    report = lint_program(program)
+    plans = {"dae_plan": report.analyses["dae"].plan(),
+             "branch_plan": report.analyses["branchflow"].plan()}
+    trace, _, _ = trace_program(program, name="edge")
+    for letter in config_letters():
+        for width in (8, 2048):
+            result = simulate_trace(trace, paper_config(letter, width),
+                                    sanitize=True, **plans)
+            assert result.instructions == len(trace)
+            if source is HALT_ONLY:
+                assert (result.instructions, result.cycles,
+                        result.ipc) == (0, 0, 0.0)
+            else:
+                assert result.cycles > 0
+            check = collapse_cross_check(report.analyses["collapse-bound"],
+                                         trace, result)
+            assert not check.violations

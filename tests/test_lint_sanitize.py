@@ -10,7 +10,7 @@ import pytest
 from helpers import make_branch_result
 from synth import TraceBuilder, random_trace
 
-from repro.collapse import CollapseRules, Group
+from repro.collapse import CollapseRules
 from repro.core import MachineConfig
 from repro.core.config import config_letters, paper_config
 from repro.core.simulator import make_sanitizer, simulate_trace
@@ -203,8 +203,7 @@ def test_collapse_of_undefined_arc_flagged():
     san.on_enter(0, 0)
     san.on_enter(1, 0)
     san.on_enter(2, 0)
-    group = Group(2, "arri", 2, 0)
-    san.on_collapse(2, 0, 1, group)         # 2's producer is 1, not 0
+    san.on_collapse(2, 0, 1, 2, 3, 3)       # 2's producer is 1, not 0
     assert any("model does not define" in v for v in san.violations)
 
 
@@ -214,9 +213,7 @@ def test_legal_collapse_transfers_dependence():
     san = fresh(trace, rules=rules)
     for i in range(3):
         san.on_enter(i, 0)
-    consumer = Group(1, "arri", 2, 0)
-    consumer.try_merge(Group(0, "mvi", 1, 0), 1, rules)
-    san.on_collapse(1, 0, 1, consumer)      # 1 absorbs 0: arc relaxed
+    san.on_collapse(1, 0, 1, 2, 2, 2)       # 1 absorbs 0: arc relaxed
     assert san.relaxed_arcs == 1
     san.on_issue(0, 0)
     san.on_issue(1, 0)                      # same cycle: now legal
@@ -230,11 +227,7 @@ def test_oversized_group_flagged():
     san = fresh(trace, width=8, rules=rules)
     for i in range(5):
         san.on_enter(i, 0)
-    big = Group(4, "arri", 2, 0)
-    for member in range(3):                 # grow to 4 members, no zeros
-        big.positions.append(member)
-        big.sigs.append("arri")
-    san.on_collapse(4, 3, 1, big)
+    san.on_collapse(4, 3, 1, 4, 2, 2)       # 4 members, no zeros
     assert any("members" in v or "not justified" in v
                for v in san.violations)
 
@@ -244,8 +237,7 @@ def test_collapse_with_collapsing_disabled_flagged():
     san = fresh(trace)                      # no collapse rules
     san.on_enter(0, 0)
     san.on_enter(1, 0)
-    group = Group(1, "arri", 2, 0)
-    san.on_collapse(1, 0, 1, group)
+    san.on_collapse(1, 0, 1, 2, 3, 3)
     assert any("collapsing disabled" in v for v in san.violations)
 
 

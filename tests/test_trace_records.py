@@ -75,7 +75,7 @@ def test_builder_positions_and_classes():
     e = builder.branch(taken=True)
     trace = builder.build()
     assert [a, b, c, d, e] == [0, 1, 2, 3, 4]
-    assert trace.classes() == [AR, LD, ST, AR, BRC]
+    assert [trace.static.cls[s] for s in trace.sidx] == [AR, LD, ST, AR, BRC]
     assert trace.eff_addr[1] == 0x100
     assert trace.taken[4] is True
 
